@@ -5,13 +5,15 @@ configuration) plus plot-ready tables.  Output is deterministic: no RNG,
 fixed-order reductions and 17-significant-digit float formatting, so
 repeated runs are byte-identical.
 
-Exit codes: 0 ok, 2 configuration error, 3 a built-in check exceeded its
-tolerance, 4 I/O failure.
+Exit codes: 0 ok, 2 configuration error (including any non-finite value),
+3 a built-in check exceeded its tolerance or a result is not finite, 4 I/O
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -230,9 +232,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _validate(sub: str, cfg: dict) -> None:
-    if not isinstance(cfg["a"], list):
-        cfg["a"] = [cfg["a"]]
-    cfg["a"] = [float(v) for v in cfg["a"]]
+    for key in ("a", "p"):
+        if key in cfg:
+            values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+            cfg[key] = [float(v) for v in values]
+    for key, value in cfg.items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{key}: must be finite, got {v}")
     for v in cfg["a"]:
         if v < 1.0:
             raise ConfigError(f"a: contraction factor must be >= 1, got {v}")
@@ -248,9 +255,6 @@ def _validate(sub: str, cfg: dict) -> None:
         if not cfg["sigma_p"] > 0:
             raise ConfigError("sigma_p: must be positive")
     if sub == "gauge-check":
-        if not isinstance(cfg["p"], list):
-            cfg["p"] = [cfg["p"]]
-        cfg["p"] = [float(v) for v in cfg["p"]]
         if cfg["n_check"] < 2:
             raise ConfigError("n_check: need at least 2 sample times")
     if sub == "floquet":
@@ -318,7 +322,10 @@ def _summary_text(sub: str, cfg: dict, results: dict, checks: dict) -> str:
         "checks": checks,
         "passed": passed,
     }
-    return json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise RuntimeError(f"non-finite result ({exc})") from exc
 
 
 def _run_iontrap(cfg: dict, writer: _ArtifactWriter) -> dict:
@@ -377,13 +384,10 @@ def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
         rows = []
         values = np.linspace(cfg["scan_min"], cfg["scan_max"], cfg["scan_points"])
         for v in values:
-            fields = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z}
-            fields[cfg["scan"]] = float(v)
-            p_scan = WeylModelParams(
-                J=params.J, lam=params.lam, V1=params.V1, V2=params.V2,
-                Omega=params.Omega, ell=params.ell, T0=params.T0, r=params.r,
-                phi_y0=params.phi_y0, phi_z0=params.phi_z0, **fields,
-            )
+            # rows echo the requested value; the params hold it zone-wrapped
+            fields = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z,
+                      cfg["scan"]: float(v)}
+            p_scan = dataclasses.replace(params, **fields)
             u = floquet_operator(build_single_mode_h(p_scan), p_scan.T, cfg["period_steps"])
             e1, e2 = quasienergies(u, p_scan.T)
             rows.append([fields["k"], fields["phi_y"], fields["phi_z"], e1, e2])
@@ -494,6 +498,7 @@ def main(argv=None) -> int:
     try:
         try:
             outcome = _RUNNERS[args.subcommand](cfg, writer)
+            summary = _summary_text(args.subcommand, cfg, outcome["results"], outcome["checks"])
         except (ConfigError, ValueError) as exc:
             writer.discard()
             print(f"error: {exc}", file=sys.stderr)
@@ -503,8 +508,7 @@ def main(argv=None) -> int:
             writer.discard()
             print(f"check failed: {exc}", file=sys.stderr)
             return EXIT_TOLERANCE
-        writer.stage("summary.json",
-                     _summary_text(args.subcommand, cfg, outcome["results"], outcome["checks"]))
+        writer.stage("summary.json", summary)
         writer.publish()
     except OSError as exc:
         writer.discard()

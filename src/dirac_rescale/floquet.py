@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -118,13 +118,10 @@ class WeylModelParams:
 def build_single_mode_h(params: WeylModelParams) -> PauliHamiltonian:
     """The mode Hamiltonian at frozen quasimomenta; T-periodic in t."""
     J, lam, V1, V2, Om = params.J, params.lam, params.V1, params.V2, params.Omega
-    k, py, pz = params.k, params.phi_y, params.phi_z
-    return PauliHamiltonian(
-        d0=lambda t: 0.0 * np.asarray(t, dtype=float),
-        dx=lambda t: 2.0 * J * np.cos(k) + 0.0 * np.asarray(t, dtype=float),
-        dy=lambda t: 2.0 * lam * np.sin(k) * np.cos(py) + 0.0 * np.asarray(t, dtype=float),
-        dz=lambda t: (V1 + V2 * np.cos(Om * np.asarray(t, dtype=float))) * np.cos(pz),
-    )
+    dx = 2.0 * J * np.cos(params.k)
+    dy = 2.0 * lam * np.sin(params.k) * np.cos(params.phi_y)
+    cz = np.cos(params.phi_z)
+    return PauliHamiltonian(lambda t: (0.0, dx, dy, (V1 + V2 * np.cos(Om * t)) * cz))
 
 
 def build_rotating_frame_h(params: WeylModelParams,
@@ -137,27 +134,16 @@ def build_rotating_frame_h(params: WeylModelParams,
     """
     J, lam, V1, V2, Om, hbar = params.J, params.lam, params.V1, params.V2, params.Omega, params.hbar
     k = params.k
-    py = phi_y if phi_y is not None else (lambda t: params.phi_y + 0.0 * np.asarray(t, dtype=float))
-    pz = phi_z if phi_z is not None else (lambda t: params.phi_z + 0.0 * np.asarray(t, dtype=float))
 
-    def alpha(t):
-        t = np.asarray(t, dtype=float)
-        return V2 * np.cos(np.asarray(pz(t), dtype=float)) * np.sin(Om * t) / (hbar * Om)
+    def terms(t):
+        py = params.phi_y if phi_y is None else phi_y(t)
+        pz = params.phi_z if phi_z is None else phi_z(t)
+        a2 = 2.0 * (V2 * np.cos(pz) * np.sin(Om * t) / (hbar * Om))
+        hop = 2.0 * J * np.cos(k) * np.cos(a2)
+        kick = 2.0 * lam * np.sin(k) * np.cos(py) * np.sin(a2)
+        return 0.0, hop + kick, -hop + kick, V1 * np.cos(pz)
 
-    def dx(t):
-        a2 = 2.0 * alpha(t)
-        return 2.0 * J * np.cos(k) * np.cos(a2) + 2.0 * lam * np.sin(k) * np.cos(np.asarray(py(t), dtype=float)) * np.sin(a2)
-
-    def dy(t):
-        a2 = 2.0 * alpha(t)
-        return -2.0 * J * np.cos(k) * np.cos(a2) + 2.0 * lam * np.sin(k) * np.cos(np.asarray(py(t), dtype=float)) * np.sin(a2)
-
-    def dz(t):
-        return V1 * np.cos(np.asarray(pz(np.asarray(t, dtype=float)), dtype=float))
-
-    return PauliHamiltonian(
-        d0=lambda t: 0.0 * np.asarray(t, dtype=float), dx=dx, dy=dy, dz=dz
-    )
+    return PauliHamiltonian(terms)
 
 
 def pumping_path(params: WeylModelParams, t):
@@ -170,22 +156,13 @@ def build_pumping_h(params: WeylModelParams) -> PauliHamiltonian:
     """Mode Hamiltonian with the quasimomenta driven around the pumping loop."""
     J, lam, V1, V2, Om = params.J, params.lam, params.V1, params.V2, params.Omega
     k = params.k
+    dx = 2.0 * J * np.cos(k)
 
-    def dy(t):
-        py, _ = pumping_path(params, t)
-        return 2.0 * lam * np.sin(k) * np.cos(py)
+    def terms(t):
+        py, pz = pumping_path(params, t)
+        return 0.0, dx, 2.0 * lam * np.sin(k) * np.cos(py), (V1 + V2 * np.cos(Om * t)) * np.cos(pz)
 
-    def dz(t):
-        t = np.asarray(t, dtype=float)
-        _, pz = pumping_path(params, t)
-        return (V1 + V2 * np.cos(Om * t)) * np.cos(pz)
-
-    return PauliHamiltonian(
-        d0=lambda t: 0.0 * np.asarray(t, dtype=float),
-        dx=lambda t: 2.0 * J * np.cos(k) + 0.0 * np.asarray(t, dtype=float),
-        dy=dy,
-        dz=dz,
-    )
+    return PauliHamiltonian(terms)
 
 
 def floquet_operator(h: PauliHamiltonian, period: float, n_steps: int,
@@ -245,12 +222,7 @@ def calibrate_perturbative_prefactor(params: WeylModelParams, n_steps: int = 200
     dominates, evolves the touching-point Hamiltonian over one pumping
     period and reads the sx component of (U - I)/i.
     """
-    small = WeylModelParams(
-        J=params.J * scale, lam=params.lam * scale, V1=params.V1, V2=params.V2,
-        Omega=params.Omega, k=params.k, phi_y=params.phi_y, phi_z=params.phi_z,
-        ell=params.ell, T0=params.T0, r=params.r,
-        phi_y0=params.phi_y0, phi_z0=params.phi_z0, hbar=params.hbar,
-    )
+    small = replace(params, J=params.J * scale, lam=params.lam * scale)
     h = linearized_h_near_touching(small, include_offset=False, freeze_kz=True)
     u = propagate(h, 0.0, small.T0, n_steps, hbar=small.hbar)
     kx = small.k - math.pi / 2.0
@@ -285,25 +257,17 @@ def linearized_h_near_touching(params: WeylModelParams,
     z = params.ell * params.c_ratio
     J, lam, V1, Om = params.J, params.lam, params.V1, params.Omega
     offset = params.ell * math.pi if include_offset else 0.0
+    rest = offset - V1 * kz * math.sin(phi_l)
 
-    def arg(t):
-        return z * np.sin(Om * np.asarray(rf.f(t), dtype=float))
+    def terms(t):
+        fd = rf.df(t)
+        g = z * np.sin(Om * rf.f(t))
+        return (0.0,
+                fd * (-2.0 * J * kx * np.cos(g) - 2.0 * lam * ky * np.sin(g)),
+                fd * (2.0 * J * kx * np.sin(g) - 2.0 * lam * ky * np.cos(g)),
+                fd * rest)
 
-    def dx(t):
-        g = arg(t)
-        return np.asarray(rf.df(t), dtype=float) * (-2.0 * J * kx * np.cos(g) - 2.0 * lam * ky * np.sin(g))
-
-    def dy(t):
-        g = arg(t)
-        return np.asarray(rf.df(t), dtype=float) * (2.0 * J * kx * np.sin(g) - 2.0 * lam * ky * np.cos(g))
-
-    def dz(t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(rf.df(t), dtype=float) * (offset - V1 * kz * math.sin(phi_l)) * np.ones_like(t)
-
-    return PauliHamiltonian(
-        d0=lambda t: 0.0 * np.asarray(t, dtype=float), dx=dx, dy=dy, dz=dz
-    )
+    return PauliHamiltonian(terms)
 
 
 def rescaled_floquet_equivalence(h: PauliHamiltonian, rf: RescalingFunction,

@@ -142,31 +142,16 @@ def transformed_hamiltonian(frame: GaugeFrame, model: PauliHamiltonian) -> Pauli
     """
     rf, hbar = frame.rf, frame.hbar
 
-    def sin2phi_scaled(t):
+    def terms(t):
+        z0, zx, zy, zz = model.coeffs(rf.f(t))
+        fd = _align_tail(rf.df(t), z0)
         # df*cos(2 phi) = 1 and df*sin(2 phi) = sqrt(df^2 - 1)
-        fd = np.asarray(rf.df(t), dtype=float)
-        return np.sqrt(np.maximum(fd * fd - 1.0, 0.0))
+        sin2phi_scaled = np.sqrt(np.maximum(fd * fd - 1.0, 0.0))
+        inertial = _align_tail(hbar * phi_dot(frame, t), z0)
+        return (fd * z0, fd * zx - inertial,
+                zy + sin2phi_scaled * zz, zz - sin2phi_scaled * zy)
 
-    def d0(t):
-        val = np.asarray(model.d0(rf.f(t)), dtype=float)
-        return _align_tail(rf.df(t), val) * val
-
-    def dx(t):
-        val = np.asarray(model.dx(rf.f(t)), dtype=float)
-        fd = np.asarray(rf.df(t), dtype=float)
-        return _align_tail(fd, val) * val - _align_tail(hbar * np.asarray(phi_dot(frame, t)), val)
-
-    def dy(t):
-        zy = np.asarray(model.dy(rf.f(t)), dtype=float)
-        zz = np.asarray(model.dz(rf.f(t)), dtype=float)
-        return zy + _align_tail(sin2phi_scaled(t), zz) * zz
-
-    def dz(t):
-        zy = np.asarray(model.dy(rf.f(t)), dtype=float)
-        zz = np.asarray(model.dz(rf.f(t)), dtype=float)
-        return zz - _align_tail(sin2phi_scaled(t), zy) * zy
-
-    return PauliHamiltonian(d0=d0, dx=dx, dy=dy, dz=dz)
+    return PauliHamiltonian(terms)
 
 
 @dataclass(frozen=True)

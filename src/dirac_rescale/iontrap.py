@@ -88,26 +88,11 @@ def build_demo_hamiltonian(model: IonTrapModel, p) -> PauliHamiltonian:
     """Per-mode Hamiltonian (p - A(t)) sx + gap(t) sz; p may be an array of modes."""
     p_arr = np.asarray(p, dtype=float)
 
-    def tcol(t):
-        t = np.asarray(t, dtype=float)
-        return t[..., None] if p_arr.ndim else t
+    def terms(t):
+        t = t[..., None] if p_arr.ndim else t
+        return 0.0, p_arr - model.vector_potential(t), 0.0, model.gap(t)
 
-    def zeros(t):
-        return np.zeros(np.broadcast_shapes(np.shape(tcol(t)), p_arr.shape))
-
-    return PauliHamiltonian(
-        d0=zeros,
-        dx=lambda t: p_arr - model.vector_potential(tcol(t)),
-        dy=zeros,
-        dz=lambda t: model.gap(tcol(t)) + np.zeros(p_arr.shape),
-    )
-
-
-def mixing_angle(model: IonTrapModel, p, t):
-    """theta = atan2(p - A(t), gap(t)); continuous in t since gap(t) >= 0."""
-    return np.arctan2(
-        np.asarray(p, dtype=float) - model.vector_potential(t), model.gap(t)
-    )
+    return PauliHamiltonian(terms)
 
 
 def instantaneous_eigenstate(model: IonTrapModel, p, t, branch: int = +1):

@@ -1,18 +1,23 @@
 """Exact SU(2) stepping and time-ordered propagation for two-level systems.
 
-A Hamiltonian is held as four real coefficient functions on the Pauli basis,
+A Hamiltonian is held as one callable returning its four real coefficients
+on the Pauli basis,
 
     H(t) = d0(t)*I + dx(t)*sx + dy(t)*sy + dz(t)*sz ,
 
-each vectorized over t.  One step of length dt is the closed-form exponential
+all from a single evaluation at t (a float array of any shape).  Each
+returned value may be a scalar or an array that broadcasts to
+t.shape + batch: momentum-mode axes trail the time axes, so a per-mode
+value carries t's axes first (e.g. built from ``t[..., None]``).  One step
+of length dt is the closed-form exponential
 
     exp(-i H dt / hbar) = e^{-i d0 dt/hbar} [cos(|d| dt/hbar) I
                           - i sin(|d| dt/hbar) (d/|d|).sigma] ,
 
 evaluated at the interval midpoint; the composed product is exactly unitary
-per step and globally second-order accurate.  Coefficient functions may
-return arrays (one value per momentum mode), in which case every operation
-broadcasts over the trailing mode axes.
+per step and globally second-order accurate, and every operation broadcasts
+over the trailing mode axes.  The time-rescaled form df(s) * H(f(s)) is
+again one such callable, evaluating f and df once per call.
 """
 
 from __future__ import annotations
@@ -76,26 +81,25 @@ def _align_tail(x, like):
 
 @dataclass(frozen=True)
 class PauliHamiltonian:
-    """H(t) = d0*I + dx*sx + dy*sy + dz*sz with real, t-vectorized coefficients."""
+    """H(t) = d0*I + dx*sx + dy*sy + dz*sz from one coefficient callable.
 
-    d0: Callable
-    dx: Callable
-    dy: Callable
-    dz: Callable
+    ``terms(t)`` receives a float array t and returns (d0, dx, dy, dz), each
+    a scalar or an array broadcasting to t.shape + batch, with any batch
+    (momentum-mode) axes after the time axes.  :meth:`coeffs` broadcasts
+    the four values against each other and against t.
+    """
+
+    terms: Callable
 
     @classmethod
     def constant(cls, d0=0.0, dx=0.0, dy=0.0, dz=0.0) -> "PauliHamiltonian":
-        return cls(
-            d0=lambda t: d0 * np.ones_like(np.asarray(t, dtype=float)),
-            dx=lambda t: dx * np.ones_like(np.asarray(t, dtype=float)),
-            dy=lambda t: dy * np.ones_like(np.asarray(t, dtype=float)),
-            dz=lambda t: dz * np.ones_like(np.asarray(t, dtype=float)),
-        )
+        return cls(lambda t: (d0, dx, dy, dz))
 
     def coeffs(self, t):
-        """(d0, dx, dy, dz) at t, broadcast to a common shape."""
-        vals = [np.asarray(f(t), dtype=float) for f in (self.d0, self.dx, self.dy, self.dz)]
-        return tuple(np.broadcast_arrays(*vals))
+        """(d0, dx, dy, dz) at t as broadcast views of shape t.shape + batch."""
+        t = np.asarray(t, dtype=float)
+        vals = [np.asarray(v, dtype=float) for v in self.terms(t)]
+        return tuple(np.broadcast_arrays(_align_tail(t, max(vals, key=np.ndim)), *vals)[1:])
 
     def matrix(self, t):
         """Dense (..., 2, 2) Hamiltonian matrix at t."""
@@ -228,14 +232,12 @@ def _checked_samples(sample_steps, n_steps):
 def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
     """The substituted Hamiltonian df(s) * H(f(s)) on the contracted window."""
 
-    def wrap(fun):
-        def wrapped(s):
-            val = np.asarray(fun(rf.f(s)), dtype=float)
-            return _align_tail(rf.df(s), val) * val
+    def terms(s):
+        vals = h.coeffs(rf.f(s))
+        fd = _align_tail(rf.df(s), vals[0])
+        return tuple(fd * v for v in vals)
 
-        return wrapped
-
-    return PauliHamiltonian(wrap(h.d0), wrap(h.dx), wrap(h.dy), wrap(h.dz))
+    return PauliHamiltonian(terms)
 
 
 def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, hbar: float = 1.0,

@@ -13,7 +13,7 @@ identity map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,21 +37,12 @@ def _as_float_or_array(x):
 
 @dataclass(frozen=True)
 class RescalingFunction:
-    """Sinusoidal time contraction with factor ``a`` over horizon ``tau/a``.
-
-    ``kind`` is "sinusoidal" or "identity"; the identity kind is the a = 1
-    member of the same family and shares all formulas.
-    """
+    """Sinusoidal time contraction with factor ``a`` over horizon ``tau/a``; a = 1 is the identity."""
 
     a: float = 1.0
     tau: float = 1.0
-    kind: str = "sinusoidal"
 
     def __post_init__(self):
-        if self.kind not in ("sinusoidal", "identity"):
-            raise ValueError(f"unknown rescaling kind {self.kind!r}")
-        if self.kind == "identity" and self.a != 1.0:
-            raise ValueError("identity rescaling requires a = 1")
         if not (self.a >= 1.0):
             raise ValueError(f"contraction factor must satisfy a >= 1, got {self.a}")
         if not (self.tau > 0.0):
@@ -59,7 +50,7 @@ class RescalingFunction:
 
     @classmethod
     def identity(cls, tau: float = 1.0) -> "RescalingFunction":
-        return cls(a=1.0, tau=tau, kind="identity")
+        return cls(a=1.0, tau=tau)
 
     @property
     def horizon(self) -> float:
@@ -131,7 +122,6 @@ class CustomRescaling:
     df: Callable
     d2f: Callable | None = None
     d3f: Callable | None = None
-    kind: str = field(default="custom", init=False)
 
     @property
     def horizon(self) -> float:

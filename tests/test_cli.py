@@ -165,3 +165,35 @@ def test_no_partial_files_on_tolerance_failure(tmp_path):
     names = sorted(os.listdir(out))
     assert names == ["gauge_deviations.csv", "summary.json"]
     assert not any(n.endswith(".tmp") for n in names)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--a", "inf"], ["--a", "2", "--a=-inf"], ["--tau", "inf"], ["--tau", "nan"],
+])
+def test_config_error_non_finite_flag(tmp_path, flags):
+    code = main(["rescale-info", *flags, "--out", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("sub,text", [
+    ("rescale-info", '{"a": [Infinity]}'),
+    ("gauge-check", '{"p": [0.3, NaN]}'),
+    ("appendix", '{"x0": -Infinity}'),
+])
+def test_config_error_non_finite_file(tmp_path, sub, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    code = main([sub, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_result_exit(tmp_path):
+    # a finite but huge a overflows df_max = 2a - 1; nothing may be published
+    out = tmp_path / "run"
+    code = main(["rescale-info", "--a", "1e308", "--out", str(out)])
+    assert code == 3
+    assert os.listdir(out) == []

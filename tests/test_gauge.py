@@ -26,12 +26,7 @@ from dirac_rescale.rescaling import RescalingFunction
 def dirac_model(p, m=1.0, c=1.0, vector_potential=lambda t: 0.0 * np.asarray(t), scalar_potential=None):
     """Constant-rest-energy (1+1)D model per momentum mode."""
     V = scalar_potential or (lambda t: 0.0 * np.asarray(t))
-    return PauliHamiltonian(
-        d0=lambda t: np.asarray(V(t), dtype=float),
-        dx=lambda t: c * p + np.asarray(vector_potential(t), dtype=float),
-        dy=lambda t: 0.0 * np.asarray(t, dtype=float),
-        dz=lambda t: m * c * c + 0.0 * np.asarray(t, dtype=float),
-    )
+    return PauliHamiltonian(lambda t: (V(t), c * p + vector_potential(t), 0.0, m * c * c))
 
 
 def test_phi_zero_at_endpoints():

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
+
+from dirac_rescale.gauge import GaugeFrame, transformed_hamiltonian
 
 from dirac_rescale.propagator import (
     IDENTITY2,
@@ -26,16 +31,11 @@ def demo_hamiltonian(p, tau=1.0):
     """Two-level ramp used throughout: (p - sin^2) sx + cos^2 sz."""
     pa = np.asarray(p, dtype=float)
 
-    def tcol(t):
-        t = np.asarray(t, dtype=float)
-        return t[..., None] if pa.ndim else t
+    def terms(t):
+        t = t[..., None] if pa.ndim else t
+        return 0.0, pa - np.sin(np.pi * t / (2 * tau)) ** 2, 0.0, np.cos(np.pi * t / (2 * tau)) ** 2
 
-    return PauliHamiltonian(
-        d0=lambda t: np.zeros(np.broadcast_shapes(np.shape(tcol(t)), pa.shape)),
-        dx=lambda t: pa - np.sin(np.pi * tcol(t) / (2 * tau)) ** 2,
-        dy=lambda t: np.zeros(np.broadcast_shapes(np.shape(tcol(t)), pa.shape)),
-        dz=lambda t: np.cos(np.pi * tcol(t) / (2 * tau)) ** 2 + 0.0 * pa,
-    )
+    return PauliHamiltonian(terms)
 
 
 def test_step_diagonal_for_sigma_z():
@@ -68,12 +68,7 @@ def test_step_rejects_bad_input():
     h = PauliHamiltonian.constant(dx=1.0)
     with pytest.raises(ValueError):
         step_exact(h, 0.0, -0.1)
-    h_bad = PauliHamiltonian(
-        d0=lambda t: 0.0 * np.asarray(t),
-        dx=lambda t: np.full_like(np.asarray(t, dtype=float), np.nan),
-        dy=lambda t: 0.0 * np.asarray(t),
-        dz=lambda t: 0.0 * np.asarray(t),
-    )
+    h_bad = PauliHamiltonian(lambda t: (0.0, np.full_like(t, np.nan), 0.0, 0.0))
     with pytest.raises(ValueError):
         step_exact(h_bad, 0.0, 0.1)
 
@@ -104,12 +99,7 @@ def test_propagate_second_order_convergence():
 
 def test_propagate_unitarity_error_signal():
     # wildly stiff coefficients at one huge step trip the defect guard
-    h = PauliHamiltonian(
-        d0=lambda t: 0.0 * np.asarray(t),
-        dx=lambda t: np.inf * np.ones_like(np.asarray(t, dtype=float)),
-        dy=lambda t: 0.0 * np.asarray(t),
-        dz=lambda t: 0.0 * np.asarray(t),
-    )
+    h = PauliHamiltonian(lambda t: (0.0, np.inf, 0.0, 0.0))
     with pytest.raises((UnitarityError, ValueError)):
         propagate(h, 0.0, 1.0, 2)
 
@@ -207,12 +197,35 @@ def test_determinism_bit_identical():
     assert np.array_equal(u1, u2)
 
 
-def test_time_rescaled_coefficients():
-    h = demo_hamiltonian(0.3)
-    rf = RescalingFunction(a=2.0, tau=1.0)
+@settings(max_examples=30, deadline=None)
+@given(
+    a=st.floats(1.0, 16.0),
+    frac=st.floats(0.0, 1.0),
+    p=hnp.arrays(float, 5, elements=st.floats(-2.0, 2.0)),
+)
+@example(a=2.0, frac=0.4, p=np.full(5, 0.3))
+def test_time_rescaled_coefficients(a, frac, p):
+    h = demo_hamiltonian(p)
+    rf = RescalingFunction(a=a, tau=1.0)
     hr = time_rescaled(h, rf)
-    s = 0.2
+    s = frac * rf.horizon
     d0, dx, dy, dz = hr.coeffs(s)
     fd, ft = rf.df(s), rf.f(s)
-    assert dx == pytest.approx(fd * (0.3 - np.sin(np.pi * ft / 2) ** 2))
+    assert dx == pytest.approx(fd * (p - np.sin(np.pi * ft / 2) ** 2))
     assert dz == pytest.approx(fd * np.cos(np.pi * ft / 2) ** 2)
+
+    # one coefficient call: df(s) * H(f(s)), also on a time grid with mode axes trailing
+    ts = np.array([0.0, s, rf.horizon])
+    for t, fd_t in ((s, rf.df(s)), (ts, rf.df(ts)[:, None])):
+        for got, want in zip(hr.coeffs(t), h.coeffs(rf.f(t))):
+            assert np.array_equal(got, fd_t * want)
+
+    # each mode of a batch matches its own scalar-p run, bit for bit
+    frame = GaugeFrame(rf=rf)
+    h_frak = transformed_hamiltonian(frame, h)
+    for m, pm in enumerate(p):
+        h_m = demo_hamiltonian(float(pm))
+        for batched, single in ((hr, time_rescaled(h_m, rf)),
+                                (h_frak, transformed_hamiltonian(frame, h_m))):
+            for got, want in zip(batched.coeffs(ts), single.coeffs(ts)):
+                assert np.array_equal(got[:, m], want)
