@@ -10,6 +10,12 @@ for which the pbar*xbar cross term cancels identically and only an
 auxiliary harmonic term kappa(t) xbar^2 remains.  The quantum analogue
 replaces F by exponentials of x^2 and {x, p} with coefficients
 beta = log(df), alpha = d2f/df and a harmonic strength kappa_q.
+
+Integration is fixed-step RK4 on the grid of 2n+1 stage times t0 + k*h and
+t0 + k*h + h/2.  :func:`evolve_classical` steps a batch of (..., 2) states
+together, row by row independent.  The appendix check evaluates the
+rescaling and every coefficient once on that grid, as vectorised calls, and
+steps the original and transformed flows as one stacked (2, 2) state.
 """
 
 from __future__ import annotations
@@ -131,40 +137,71 @@ def quantum_coeffs(rf: RescalingFunction, t):
 _OVERFLOW_GUARD = 1e12
 
 
+def _stage_times(t0: float, t1: float, n_steps: int):
+    """Step h and the 2n+1 RK4 stage times: t_k = t0 + k*h at even index,
+    t_k + h/2 at odd index."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    h = (t1 - t0) / n_steps
+    ts = np.empty(2 * n_steps + 1)
+    ts[0::2] = t0 + np.arange(n_steps + 1) * h
+    ts[1::2] = ts[:-1:2] + h / 2.0
+    return ts, h
+
+
+def _rk4(rhs: Callable, y0: np.ndarray, ts: np.ndarray, h: float, record_every: int):
+    """Fixed-step RK4 over the stage grid ``ts``; rhs(j, y) is dy/dt at ts[j].
+
+    Returns (times, trajectory) sampled every ``record_every`` steps and at
+    the last step; y0 may hold any batch of states.
+    """
+    n_steps = (len(ts) - 1) // 2
+    y = np.array(y0, dtype=float)
+    recorded = [0]
+    traj = [y]
+    for k in range(n_steps):
+        j = 2 * k
+        k1 = rhs(j, y)
+        k2 = rhs(j + 1, y + h / 2.0 * k1)
+        k3 = rhs(j + 1, y + h / 2.0 * k2)
+        k4 = rhs(j + 2, y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.max(np.abs(y)) > _OVERFLOW_GUARD:
+            raise RuntimeError(f"trajectory diverged at t = {ts[j + 2]:g}")
+        if (k + 1) % record_every == 0 or k + 1 == n_steps:
+            recorded.append(j + 2)
+            traj.append(y)
+    return ts[recorded], np.asarray(traj)
+
+
 def evolve_classical(dH_dp: Callable, dH_dx: Callable, state0, t0: float,
                      t1: float, n_steps: int, n_record: int | None = None):
     """Fixed-step RK4 for xdot = dH/dp, pdot = -dH/dx.
 
-    Both callables take (x, p, t).  Returns (times, trajectory) with
-    trajectory[j] = (x, p) at times[j]; n_record defaults to every step.
+    ``state0`` is one (x, p) pair or a batch of shape (..., 2); both
+    callables take (x, p, t) with x, p of the batch shape and must act on
+    each row alone.  The stage times are t0 + k*h and t0 + k*h + h/2.
+    Returns (times, trajectory) with trajectory[j] = the (..., 2) state at
+    times[j]; n_record (default: every step) sets how many steps are
+    recorded.  A run aborts as diverged when any |x| or |p| of the batch
+    exceeds 1e12.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    ts, h = _stage_times(t0, t1, n_steps)
     n_record = n_steps if n_record is None else n_record
-    record_every = max(1, n_steps // n_record)
+    if n_record < 1:
+        raise ValueError("n_record must be at least 1")
+    y0 = np.asarray(state0, dtype=float)
+    if y0.ndim == 0 or y0.shape[-1] != 2:
+        raise ValueError(f"state must have shape (..., 2), got {y0.shape}")
 
-    def rhs(t, y):
-        x, p = y
-        return np.array([dH_dp(x, p, t), -dH_dx(x, p, t)], dtype=float)
+    def rhs(j, y):
+        x, p, t = y[..., 0], y[..., 1], ts[j]
+        out = np.empty_like(y)
+        out[..., 0] = dH_dp(x, p, t)
+        out[..., 1] = -dH_dx(x, p, t)
+        return out
 
-    h = (t1 - t0) / n_steps
-    y = np.asarray(state0, dtype=float).copy()
-    times = [t0]
-    traj = [y.copy()]
-    t = t0
-    for k in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
-        k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (k + 1) * h
-        if np.max(np.abs(y)) > _OVERFLOW_GUARD:
-            raise RuntimeError(f"trajectory diverged at t = {t:g}")
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            times.append(t)
-            traj.append(y.copy())
-    return np.asarray(times), np.asarray(traj)
+    return _rk4(rhs, y0, ts, h, max(1, n_steps // n_record))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,37 +222,41 @@ def appendix_equivalence_check(model: ClassicalModel, rf: RescalingFunction,
 
     (x, p) evolves under df*[p^2/2m + V(x/gamma(f))/gamma(f)^2]; (xbar, pbar)
     under pbar^2/2m + df*V(xbar sqrt(df)/gamma(f))/gamma(f)^2 + kappa xbar^2,
-    from the mapped initial condition.  Two independent integrations act as
-    mutual oracle; raises :class:`ToleranceError` above ``tol``.
+    from the mapped initial condition.  The two flows, stepped side by side
+    but uncoupled, act as mutual oracle; raises :class:`ToleranceError`
+    above ``tol``.
     """
     report = check_boundary(rf)
     if not report.passed:
         raise ValueError(f"rescaling fails boundary conditions:\n{report}")
-    m, gam, dV = model.m, model.gamma, model.dV
+    m, dV = model.m, model.dV
+    y0 = np.asarray(state0, dtype=float)
+    if y0.shape != (2,):
+        raise ValueError(f"state0 must be one (x, p) pair, got shape {y0.shape}")
+    # Both right-hand sides read dH/dp = P p, dH/dx = A dV(B x) + K x; column 0
+    # holds the original flow's coefficients, column 1 the transformed flow's,
+    # each evaluated once on the whole stage grid.
+    ts, h = _stage_times(0.0, rf.horizon, n_steps)
+    fd = rf.df(ts)
+    g = model.gamma(rf.f(ts))
+    root = np.sqrt(fd)
+    g3 = g**3
+    P = np.stack([fd / m, np.full_like(fd, 1.0 / m)], axis=-1)
+    A = np.stack([fd / g3, fd * root / g3], axis=-1)
+    B = np.stack([1.0 / g, root / g], axis=-1)
+    K = np.stack([np.zeros_like(fd), 2.0 * kappa(rf, ts, m)], axis=-1)
 
-    def orig_dH_dp(x, p, t):
-        return rf.df(t) * p / m
+    def rhs(j, y):
+        x, p = y[:, 0], y[:, 1]
+        out = np.empty_like(y)
+        out[:, 0] = P[j] * p
+        out[:, 1] = -(A[j] * dV(B[j] * x) + K[j] * x)
+        return out
 
-    def orig_dH_dx(x, p, t):
-        g = gam(rf.f(t))
-        return rf.df(t) * dV(x / g) / g**3
-
-    def bar_dH_dp(x, p, t):
-        return p / m
-
-    def bar_dH_dx(x, p, t):
-        fd = rf.df(t)
-        g = gam(rf.f(t))
-        root = np.sqrt(fd)
-        return fd * root * dV(x * root / g) / g**3 + 2.0 * kappa(rf, t, m) * x
-
-    horizon = rf.horizon
-    times, orig = evolve_classical(orig_dH_dp, orig_dH_dx, state0, 0.0, horizon, n_steps)
-    bar0 = canonical_map(np.asarray(state0, dtype=float), rf, 0.0, m)
-    _, bar = evolve_classical(bar_dH_dp, bar_dH_dx, bar0, 0.0, horizon, n_steps)
-    mapped = np.stack(
-        [canonical_map(orig[j], rf, float(times[j]), m) for j in range(len(times))]
-    )
+    bar0 = canonical_map(y0, rf, 0.0, m)
+    times, both = _rk4(rhs, np.stack([y0, bar0]), ts, h, 1)
+    orig, bar = both[:, 0], both[:, 1]
+    mapped = canonical_map(orig, rf, times, m)
     deviation = float(np.max(np.abs(mapped - bar)))
     result = AppendixCheckResult(times=times, original=orig, transformed=bar,
                                  mapped=mapped, max_deviation=deviation)

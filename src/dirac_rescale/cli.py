@@ -129,6 +129,16 @@ DEFAULTS = {
 }
 
 
+#: allowed values of the string-valued keys, for flags and config files alike
+CHOICES = {
+    "format": ["csv", "json"],
+    "fidelity_mode": ["incoherent", "coherent"],
+    "scan": ["k", "phi_y", "phi_z"],
+    "mode": ["classical", "coeffs"],
+    "potential": ["harmonic", "quartic"],
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirac-rescale",
@@ -143,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--steps", type=int, default=None, help="propagation steps per window")
         sp.add_argument("--out", type=str, default=None, help="output directory")
         sp.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
-        sp.add_argument("--format", choices=["csv", "json"], default=None,
+        sp.add_argument("--format", choices=CHOICES["format"], default=None,
                         help="table format (summary is always JSON)")
 
     sp = sub.add_parser("iontrap", help="fidelity curves of the rescaled ramp")
@@ -153,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma-p", dest="sigma_p", type=float, default=None, help="packet width")
     sp.add_argument("--grid-points", dest="grid_points", type=int, default=None)
     sp.add_argument("--fidelity-mode", dest="fidelity_mode",
-                    choices=["incoherent", "coherent"], default=None)
+                    choices=CHOICES["fidelity_mode"], default=None)
 
     sp = sub.add_parser("gauge-check", help="frame-equivalence deviation report")
     add_common(sp)
@@ -172,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=int, default=None)
     sp.add_argument("--equivalence", action="store_const", const=True, default=None,
                     help="also compare the contracted pumping cycle to the original")
-    sp.add_argument("--scan", choices=["k", "phi_y", "phi_z"], default=None,
+    sp.add_argument("--scan", choices=CHOICES["scan"], default=None,
                     help="write a quasienergy scan along this axis")
     sp.add_argument("--scan-min", dest="scan_min", type=float, default=None)
     sp.add_argument("--scan-max", dest="scan_max", type=float, default=None)
@@ -183,8 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("appendix", help="canonical-transformation checks")
     add_common(sp)
-    sp.add_argument("--mode", choices=["classical", "coeffs"], default=None)
-    sp.add_argument("--potential", choices=["harmonic", "quartic"], default=None)
+    sp.add_argument("--mode", choices=CHOICES["mode"], default=None)
+    sp.add_argument("--potential", choices=CHOICES["potential"], default=None)
     sp.add_argument("--x0", type=float, default=None)
     sp.add_argument("--p0", type=float, default=None)
     sp.add_argument("--mass", type=float, default=None)
@@ -224,18 +234,41 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in file_values:
-            resolved[key] = file_values[key]
+            resolved[key] = _file_value(key, file_values[key], default)
         else:
             resolved[key] = default
     _validate(sub, resolved)
     return resolved
 
 
+def _as_float(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key}: {value} is out of float range") from None
+
+
+def _file_value(key: str, value, default):
+    """A config-file value checked as its flag would be: type, then choices."""
+    if key in CHOICES:
+        if value not in CHOICES[key] and not (value is None and default is None):
+            raise ConfigError(f"{key}: must be one of {', '.join(CHOICES[key])}, got {value!r}")
+        return value
+    if key in ("a", "p"):
+        values = value if isinstance(value, list) else [value]
+        if not values:
+            raise ConfigError(f"{key}: needs at least one value")
+        return [_as_float(key, v) for v in values]
+    if isinstance(default, float):
+        return _as_float(key, value)
+    if type(value) is not type(default):
+        raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
+    return value
+
+
 def _validate(sub: str, cfg: dict) -> None:
-    for key in ("a", "p"):
-        if key in cfg:
-            values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
-            cfg[key] = [float(v) for v in values]
     for key, value in cfg.items():
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
@@ -258,7 +291,6 @@ def _validate(sub: str, cfg: dict) -> None:
         if cfg["n_check"] < 2:
             raise ConfigError("n_check: need at least 2 sample times")
     if sub == "floquet":
-        cfg["equivalence"] = bool(cfg["equivalence"])
         if cfg["scan"] is None and not cfg["equivalence"]:
             cfg["scan"] = "phi_z"
         if cfg["scan_points"] < 2:
@@ -440,10 +472,10 @@ def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
         rows = []
         for a in cfg["a"]:
             rf = RescalingFunction(a=a, tau=cfg["tau"])
-            for t in np.linspace(0.0, rf.horizon, cfg["n_record"]):
-                h1, h2 = h1h2(rf, t, cfg["mass"])
-                alpha, beta, kq = quantum_coeffs(rf, t)
-                rows.append([a, t, h1, h2, kappa(rf, t, cfg["mass"]), alpha, beta, kq])
+            ts = np.linspace(0.0, rf.horizon, cfg["n_record"])
+            columns = (ts, *h1h2(rf, ts, cfg["mass"]), kappa(rf, ts, cfg["mass"]),
+                       *quantum_coeffs(rf, ts))
+            rows.extend([a, *row] for row in zip(*columns))
         writer.stage(f"coefficients.{ext}",
                      _table_text(["a", "t", "h1", "h2", "kappa", "alpha", "beta", "kappa_q"],
                                  rows, cfg["format"]))
@@ -459,8 +491,8 @@ def _run_rescale_info(cfg: dict, writer: _ArtifactWriter) -> dict:
         rf = RescalingFunction(a=a, tau=cfg["tau"])
         report = check_boundary(rf)
         ts = np.linspace(0.0, rf.horizon, cfg["n_samples"])
-        for t in ts:
-            rows.append([a, t, rf.f(t), rf.df(t), rf.d2f(t), rf.d3f(t)])
+        columns = (ts, rf.f(ts), rf.df(ts), rf.d2f(ts), rf.d3f(ts))
+        rows.extend([a, *row] for row in zip(*columns))
         results[_fmt(a)] = {
             "horizon": rf.horizon,
             "df_max": float(2.0 * a - 1.0),

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dirac_rescale.classical import (
     appendix_equivalence_check,
@@ -62,6 +65,26 @@ def test_canonical_roundtrip_sweep():
         fwd = canonical_map(state, rf, t, m=0.8)
         back = canonical_map(fwd, rf, t, m=0.8, direction="inverse")
         np.testing.assert_allclose(back, state, atol=1e-14, rtol=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    a=st.floats(1.0, 16.0),
+    tau=st.floats(0.5, 4.0),
+    m=st.floats(0.1, 10.0),
+    fracs=hnp.arrays(float, 6, elements=st.floats(0.0, 1.0)),
+    states=hnp.arrays(float, (6, 2), elements=st.floats(-10.0, 10.0)),
+)
+def test_canonical_roundtrip_property(a, tau, m, fracs, states):
+    # one call maps a whole batch, each state at its own time
+    rf = RescalingFunction(a=a, tau=tau)
+    t = fracs * rf.horizon
+    fwd = canonical_map(states, rf, t, m=m)
+    back = canonical_map(fwd, rf, t, m=m, direction="inverse")
+    # the inverse adds 2 h2 x back onto p - 2 h2 x: roundoff scales with that term
+    _, h2 = h1h2(rf, t, m)
+    scale = 1.0 + np.max(np.abs(states)) + np.max(np.abs(2.0 * h2 * states[:, 0]))
+    np.testing.assert_allclose(back, states, rtol=1e-14, atol=1e-14 * scale)
 
 
 def test_kappa_vanishes_at_a1():
@@ -156,6 +179,48 @@ def test_rk4_fourth_order_convergence():
     assert 3.8 <= slope <= 4.2
 
 
+def _anharmonic_dH_dp(x, p, t):
+    return p * (1.0 + 0.5 * np.sin(3.0 * t))
+
+
+def _anharmonic_dH_dx(x, p, t):
+    return (1.0 + t) * x**3 + 0.5 * x
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.sampled_from([(1,), (3,), (2, 2)]),
+    data=st.data(),
+    n_steps=st.integers(20, 80),
+    n_record=st.integers(1, 30),
+)
+def test_evolve_batch_invariance(batch, data, n_steps, n_record):
+    # row i of a batched run is the single run from row i, bit for bit
+    states = data.draw(hnp.arrays(float, (*batch, 2), elements=st.floats(-1.5, 1.5)))
+    times, traj = evolve_classical(_anharmonic_dH_dp, _anharmonic_dH_dx, states,
+                                   0.0, 1.0, n_steps, n_record)
+    assert traj.shape == (len(times), *batch, 2)
+    for idx in np.ndindex(*batch):
+        t1, single = evolve_classical(_anharmonic_dH_dp, _anharmonic_dH_dx, states[idx],
+                                      0.0, 1.0, n_steps, n_record)
+        assert np.array_equal(t1, times)
+        assert np.array_equal(traj[(slice(None), *idx)], single)
+
+
+@pytest.mark.parametrize("state0,n_steps,n_record", [
+    pytest.param((1.0, 0.0), 0, None, id="n_steps_zero"),
+    pytest.param((1.0, 0.0), 10, 0, id="n_record_zero"),
+    pytest.param((1.0, 0.0), 10, -3, id="n_record_negative"),
+    pytest.param((1.0, 0.0, 0.0), 10, None, id="three_components"),
+    pytest.param(1.0, 10, None, id="scalar_state"),
+    pytest.param(np.zeros((4, 3)), 10, None, id="batch_last_axis_3"),
+])
+def test_evolve_rejects_bad_input(state0, n_steps, n_record):
+    with pytest.raises(ValueError):
+        evolve_classical(lambda x, p, t: p, lambda x, p, t: x, state0, 0.0, 1.0,
+                         n_steps, n_record)
+
+
 def test_divergence_guard():
     with pytest.raises(RuntimeError):
         evolve_classical(
@@ -183,6 +248,34 @@ def test_appendix_equivalence_fourth_order():
         devs.append(res.max_deviation)
     slope = -np.polyfit(np.log(ns), np.log(devs), 1)[0]
     assert 3.8 <= slope <= 4.2
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    factory=st.sampled_from([harmonic_model, quartic_model]),
+    a=st.floats(1.0, 4.0),
+    x0=st.floats(0.5, 1.5),
+    p0=st.floats(-0.5, 0.5),
+    n_steps=st.integers(50, 200),
+)
+def test_appendix_check_deterministic(factory, a, x0, p0, n_steps):
+    rf = RescalingFunction(a=a, tau=1.0)
+    first, second = (appendix_equivalence_check(factory(), rf, state0=(x0, p0),
+                                                n_steps=n_steps, tol=None) for _ in range(2))
+    for name in ("times", "original", "transformed", "mapped"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    assert first.max_deviation == second.max_deviation
+
+
+@pytest.mark.parametrize("state0,n_steps", [
+    pytest.param([(1.0, 0.0), (0.5, 0.5)], 10, id="state_batch"),
+    pytest.param((1.0, 0.0), 0, id="n_steps_zero"),
+])
+def test_appendix_rejects_bad_input(state0, n_steps):
+    # the two flows are stacked along the first axis; state0 is one (x, p) pair
+    with pytest.raises(ValueError):
+        appendix_equivalence_check(harmonic_model(), RescalingFunction(a=2.0, tau=1.0),
+                                   state0=state0, n_steps=n_steps)
 
 
 def test_appendix_tolerance_signal():

@@ -190,6 +190,64 @@ def test_config_error_non_finite_file(tmp_path, sub, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub,text", [
+    ("appendix", '{"steps": "9"}'),
+    ("rescale-info", '{"a": ["x"]}'),
+    ("rescale-info", '{"a": []}'),
+    ("gauge-check", '{"p": [0.3, true]}'),
+    ("appendix", '{"n_record": 2.5}'),
+    ("floquet", '{"scan": "bogus"}'),
+    ("floquet", '{"equivalence": "yes"}'),
+    ("appendix", '{"steps": true}'),
+    ("appendix", '{"x0": "1"}'),
+    ("appendix", '{"potential": "bogus"}'),
+    ("appendix", '{"mode": "bogus"}'),
+    ("rescale-info", '{"format": "xml"}'),
+    pytest.param("rescale-info", '{"tau": 1' + "0" * 400 + '}', id="rescale-info-tau-overflow"),
+])
+def test_config_error_file_type(tmp_path, sub, text):
+    # a config-file value gets the type and choice checks its flag gets
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    code = main([sub, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_config_file_numbers_become_floats(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": 2, "x0": 1, "potential": "harmonic", "steps": 200}))
+    out = tmp_path / "run"
+    assert main(["appendix", "--config", str(cfg), "--out", str(out)]) == 0
+    config = json.loads(read(out / "summary.json"))["config"]
+    assert config["a"] == [2.0] and isinstance(config["x0"], float)
+    assert config["potential"] == "harmonic" and config["steps"] == 200
+
+
+@pytest.mark.parametrize("argv,table", [
+    (["appendix", "--mode", "coeffs", "--a", "3", "--mass", "1.3", "--n-record", "41"],
+     "coefficients.csv"),
+    (["rescale-info", "--a", "2", "--a", "5", "--n-samples", "41"], "rescaling.csv"),
+])
+def test_vectorised_tables_match_scalar_rows(tmp_path, argv, table):
+    # one call per a on the whole grid gives the rows one call per t gave
+    from dirac_rescale.classical import h1h2, kappa, quantum_coeffs
+    from dirac_rescale.rescaling import RescalingFunction
+
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    rows = [[float(v) for v in ln.split(",")] for ln in read(out / table).splitlines()[1:]]
+    assert len(rows) == (41 if table == "coefficients.csv" else 82)
+    for a, t, *values in rows:
+        rf = RescalingFunction(a=a, tau=1.0)
+        if table == "coefficients.csv":
+            want = [*h1h2(rf, t, 1.3), kappa(rf, t, 1.3), *quantum_coeffs(rf, t)]
+        else:
+            want = [rf.f(t), rf.df(t), rf.d2f(t), rf.d3f(t)]
+        assert values == want
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_exit(tmp_path):
     # a finite but huge a overflows df_max = 2a - 1; nothing may be published
