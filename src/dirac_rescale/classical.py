@@ -166,7 +166,7 @@ def _rk4(rhs: Callable, y0: np.ndarray, ts: np.ndarray, h: float, record_every: 
         k3 = rhs(j + 1, y + h / 2.0 * k2)
         k4 = rhs(j + 2, y + h * k3)
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.max(np.abs(y)) > _OVERFLOW_GUARD:
+        if not np.all(np.abs(y) <= _OVERFLOW_GUARD):
             raise RuntimeError(f"trajectory diverged at t = {ts[j + 2]:g}")
         if (k + 1) % record_every == 0 or k + 1 == n_steps:
             recorded.append(j + 2)
@@ -184,7 +184,7 @@ def evolve_classical(dH_dp: Callable, dH_dx: Callable, state0, t0: float,
     Returns (times, trajectory) with trajectory[j] = the (..., 2) state at
     times[j]; n_record (default: every step) sets how many steps are
     recorded.  A run aborts as diverged when any |x| or |p| of the batch
-    exceeds 1e12.
+    exceeds 1e12 or is NaN.
     """
     ts, h = _stage_times(t0, t1, n_steps)
     n_record = n_steps if n_record is None else n_record

@@ -201,7 +201,7 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
 
     sample = sorted({int(round(j * n_steps / (n_times - 1))) for j in range(n_times)})
     times, psis = evolve_states(h_resc, 0.0, rf.horizon, n_steps, chi_i, sample)
-    if norm_defect(psis) > 1e-10:
+    if not norm_defect(psis) <= 1e-10:
         raise RuntimeError("per-mode norm drifted beyond 1e-10 during evolution")
 
     wg2 = grid.weights * np.abs(grid.envelope) ** 2

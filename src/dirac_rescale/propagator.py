@@ -18,10 +18,20 @@ evaluated at the interval midpoint; the composed product is exactly unitary
 per step and globally second-order accurate, and every operation broadcasts
 over the trailing mode axes.  The time-rescaled form df(s) * H(f(s)) is
 again one such callable, evaluating f and df once per call.
+
+Inside the module a step is held as a real unit quaternion
+(cos x, sin x d/|d|), x = |d| dt/hbar, plus the scalar phase d0 dt/hbar.
+Steps are composed with the Hamilton product in plain real arithmetic (the
+phases add), by a fixed-order pairwise reduction over blocks of a fixed
+number of steps, so a mode's result is bitwise the same alone or inside
+any batch.  The unitarity check is |q|^2 - 1 of the composed quaternion.
+Complex (..., 2, 2) matrices are built only at the API boundary: for the
+propagators returned and, once per sample, to apply to spinors.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,8 +66,11 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: |d|*dt/hbar below which the sin/cos Taylor branch is used
 _SMALL_ANGLE = 1e-14
 
-#: soft cap on (steps x modes) worth of 2x2 matrices built at once
-_BLOCK_ELEMS = 1 << 19
+#: steps composed per block; fixed, so a mode's result does not depend on its batch
+_BLOCK_STEPS = 1 << 12
+
+#: largest |q|^2 - 1 accepted for a composed product (the default of propagate)
+_UNITARITY_TOL = 1e-8
 
 
 class UnitarityError(RuntimeError):
@@ -112,26 +125,72 @@ class PauliHamiltonian:
         return out
 
 
-def su2_exponential(d0, dx, dy, dz, dt, hbar: float = 1.0):
-    """exp(-i (d0*I + d.sigma) dt / hbar) in closed form, elementwise."""
+def _su2_step(d0, dx, dy, dz, dt, hbar):
+    """Records (cos x, sin(x) d/|d|, d0 dt/hbar) of steps, x = |d| dt/hbar.
+
+    A record is a real array with the five components (w, vx, vy, vz, phase)
+    on axis 0: the unit quaternion w - i v.sigma and the scalar phase of
+    e^{-i phase} (w I - i v.sigma), so the step needs no complex arithmetic.
+    """
     d0, dx, dy, dz = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (d0, dx, dy, dz))
     )
+    out = np.empty((5,) + dx.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         nd = np.sqrt(dx * dx + dy * dy + dz * dz)
         x = nd * dt / hbar
+        out[0] = np.cos(x)
+        sin_over_d = np.sin(x) / nd
         small = x < _SMALL_ANGLE
-        # sin(x)/|d| == (dt/hbar) sinc(x); Taylor branch avoids 0/0 at |d| -> 0
-        nd_safe = np.where(small, 1.0, nd)
-        cos_x = np.where(small, 1.0 - 0.5 * x * x, np.cos(x))
-        sin_over_d = np.where(small, (dt / hbar) * (1.0 - x * x / 6.0), np.sin(x) / nd_safe)
-        phase = np.exp(-1j * d0 * dt / hbar)
-    out = np.empty(np.shape(cos_x) + (2, 2), dtype=complex)
-    out[..., 0, 0] = phase * (cos_x - 1j * sin_over_d * dz)
-    out[..., 1, 1] = phase * (cos_x + 1j * sin_over_d * dz)
-    out[..., 0, 1] = phase * (-1j * sin_over_d * (dx - 1j * dy))
-    out[..., 1, 0] = phase * (-1j * sin_over_d * (dx + 1j * dy))
+        if np.any(small):
+            # sin(x)/|d| == (dt/hbar) sinc(x); Taylor branch avoids 0/0 at |d| -> 0
+            np.copyto(out[0, ...], 1.0 - 0.5 * x * x, where=small)
+            sin_over_d = np.where(small, (dt / hbar) * (1.0 - x * x / 6.0), sin_over_d)
+        np.multiply(sin_over_d, dx, out=out[1, ...])
+        np.multiply(sin_over_d, dy, out=out[2, ...])
+        np.multiply(sin_over_d, dz, out=out[3, ...])
+        out[4] = d0 * dt / hbar
     return out
+
+
+def _compose(a, b, out=None):
+    """Records of a after b: Hamilton product of the quaternions, phases added.
+
+    w = wa wb - va.vb and v = wa vb + wb va + va x vb, in plain real
+    arithmetic, so each entry is the same whatever the batch around it.
+    """
+    aw, ax, ay, az, ap = a
+    bw, bx, by, bz, bp = b
+    if out is None:
+        out = np.empty((5,) + np.broadcast_shapes(np.shape(aw), np.shape(bw)))
+    np.subtract(aw * bw, ax * bx + ay * by + az * bz, out=out[0, ...])
+    np.add(aw * bx + bw * ax, ay * bz - az * by, out=out[1, ...])
+    np.add(aw * by + bw * ay, az * bx - ax * bz, out=out[2, ...])
+    np.add(aw * bz + bw * az, ax * by - ay * bx, out=out[3, ...])
+    np.add(ap, bp, out=out[4, ...])
+    return out
+
+
+def _to_matrix(u):
+    """Complex (..., 2, 2) matrices e^{-i phase} (w I - i v.sigma) of records u.
+
+    Built from real products: numpy's complex product of two scalars (a
+    batch of one) can round differently from its array loop.
+    """
+    w, x, y, z, phase = u
+    c, s = np.cos(phase), np.sin(phase)
+    out = np.empty(np.shape(w) + (2, 2), dtype=complex)
+    re, im = out.real, out.imag
+    re[..., 0, 0], im[..., 0, 0] = c * w - s * z, -(c * z + s * w)
+    re[..., 0, 1], im[..., 0, 1] = -(c * y + s * x), s * y - c * x
+    re[..., 1, 0], im[..., 1, 0] = c * y - s * x, -(c * x + s * y)
+    re[..., 1, 1], im[..., 1, 1] = c * w + s * z, c * z - s * w
+    return out
+
+
+def su2_exponential(d0, dx, dy, dz, dt, hbar: float = 1.0):
+    """exp(-i (d0*I + d.sigma) dt / hbar) in closed form, elementwise."""
+    return _to_matrix(_su2_step(d0, dx, dy, dz, dt, hbar))
 
 
 def step_exact(h: PauliHamiltonian, t_mid, dt: float, hbar: float = 1.0):
@@ -144,44 +203,63 @@ def step_exact(h: PauliHamiltonian, t_mid, dt: float, hbar: float = 1.0):
     return su2_exponential(d0, dx, dy, dz, dt, hbar=hbar)
 
 
-def _ordered_product(mats):
-    """Product mats[-1] @ ... @ mats[0] by pairwise reduction (fixed order)."""
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2:
-            head, tail = mats[:-1], mats[-1:]
-            mats = np.concatenate([np.matmul(head[1::2], head[0::2]), tail], axis=0)
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
+def _ordered_product(steps):
+    """Record of steps[:, -1] ... steps[:, 0] by pairwise reduction (fixed order).
+
+    ``steps`` holds records (5, n_steps, *batch), the step axis second.
+    """
+    while (n := steps.shape[1]) > 1:
+        m = n // 2
+        out = np.empty((5, m + n % 2) + steps.shape[2:])
+        _compose(steps[:, 1::2], steps[:, 0:2 * m:2], out=out[:, :m])
+        if n % 2:
+            out[:, m] = steps[:, -1]
+        steps = out
+    return steps[:, 0]
 
 
-def _midpoint_blocks(h, t0, dt, start, stop, hbar):
-    """Yield products of midpoint steps for step indices [start, stop)."""
-    probe = h.coeffs(np.array([t0 + 0.5 * dt]))[0]
-    batch = int(np.prod(probe.shape[1:], dtype=int)) if probe.ndim > 1 else 1
-    block = max(1, min(stop - start, _BLOCK_ELEMS // max(1, batch)))
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        ts = t0 + (np.arange(lo, hi, dtype=float) + 0.5) * dt
-        steps = su2_exponential(*h.coeffs(ts), dt, hbar=hbar)
-        yield _ordered_product(steps)
+def _checked_args(t0, t1, n_steps, sample_steps):
+    """Step length and sample indices, validated once at every entry point."""
+    if not t1 > t0:
+        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
+    if not operator.index(n_steps) >= 1:
+        raise ValueError("n_steps must be at least 1")
+    idx = [int(k) for k in sample_steps]
+    if any(k < 0 or k > n_steps for k in idx) or sorted(idx) != idx:
+        raise ValueError("sample steps must be ascending indices in [0, n_steps]")
+    return (t1 - t0) / n_steps, idx
+
+
+def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, tol):
+    """Sample times and the records of U(t0 + k*dt <- t0) at each sample index k.
+
+    Steps are composed in blocks of _BLOCK_STEPS from the previous sample,
+    and each sampled record must be unit to ``tol`` (NaN fails the check).
+    """
+    dt, idx = _checked_args(t0, t1, n_steps, sample_steps)
+    u = np.zeros((5,) + np.shape(h.coeffs(t0 + 0.5 * dt)[0]))
+    u[0] = 1.0
+    records = []
+    prev = 0
+    for k in idx:
+        for lo in range(prev, k, _BLOCK_STEPS):
+            ts = t0 + (np.arange(lo, min(lo + _BLOCK_STEPS, k), dtype=float) + 0.5) * dt
+            u = _compose(_ordered_product(_su2_step(*h.coeffs(ts), dt, hbar)), u)
+        prev = k
+        w, x, y, z, phase = u
+        # 0 * phase is NaN for a non-finite phase, so the check fails on it too
+        defect = float(np.max(np.abs(w * w + x * x + y * y + z * z - 1.0) + 0.0 * phase))
+        if not defect <= tol:
+            raise UnitarityError(defect, tol)
+        records.append(u)
+    return t0 + np.asarray(idx, dtype=float) * dt, records
 
 
 def propagate(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
-              hbar: float = 1.0, unitarity_tol: float = 1e-8):
+              hbar: float = 1.0, unitarity_tol: float = _UNITARITY_TOL):
     """Time-ordered propagator U(t1 <- t0) from n_steps midpoint exponentials."""
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    dt = (t1 - t0) / n_steps
-    U = None
-    for block in _midpoint_blocks(h, t0, dt, 0, n_steps, hbar):
-        U = block if U is None else block @ U
-    defect = unitarity_defect(U)
-    if defect > unitarity_tol:
-        raise UnitarityError(defect, unitarity_tol)
-    return U
+    _, (u,) = _sampled_records(h, t0, t1, n_steps, [n_steps], hbar, unitarity_tol)
+    return _to_matrix(u)
 
 
 def propagate_sampled(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
@@ -190,43 +268,15 @@ def propagate_sampled(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
 
     Returns (times, us) with us[j] = U(t0 + sample_steps[j]*dt <- t0).
     """
-    idx = _checked_samples(sample_steps, n_steps)
-    dt = (t1 - t0) / n_steps
-    batch = np.shape(h.coeffs(np.asarray(t0 + 0.5 * dt))[0])
-    U = np.broadcast_to(IDENTITY2, batch + (2, 2)).copy()
-    us = []
-    prev = 0
-    for k in idx:
-        for block in _midpoint_blocks(h, t0, dt, prev, k, hbar):
-            U = block @ U
-        prev = k
-        us.append(U)
-    times = t0 + np.asarray(idx, dtype=float) * dt
-    return times, np.array(us)
+    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, _UNITARITY_TOL)
+    return times, np.array([_to_matrix(u) for u in records])
 
 
 def evolve_states(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
                   psi0, sample_steps: Sequence[int], hbar: float = 1.0):
     """Evolve spinor batch psi0 (..., 2), recording at the given step indices."""
-    idx = _checked_samples(sample_steps, n_steps)
-    dt = (t1 - t0) / n_steps
-    psi = np.array(psi0, dtype=complex)
-    out = []
-    prev = 0
-    for k in idx:
-        for block in _midpoint_blocks(h, t0, dt, prev, k, hbar):
-            psi = np.einsum("...ij,...j->...i", block, psi)
-        prev = k
-        out.append(psi.copy())
-    times = t0 + np.asarray(idx, dtype=float) * dt
-    return times, np.array(out)
-
-
-def _checked_samples(sample_steps, n_steps):
-    idx = [int(k) for k in sample_steps]
-    if any(k < 0 or k > n_steps for k in idx) or sorted(idx) != idx:
-        raise ValueError("sample steps must be ascending indices in [0, n_steps]")
-    return idx
+    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, _UNITARITY_TOL)
+    return times, np.array([evolve_state(_to_matrix(u), psi0) for u in records])
 
 
 def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
@@ -241,7 +291,7 @@ def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
 
 
 def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, hbar: float = 1.0,
-                       unitarity_tol: float = 1e-8):
+                       unitarity_tol: float = _UNITARITY_TOL):
     """Propagate df(s)*H(f(s)) over [0, tau/a]; equals U(tau <- 0) of H exactly.
 
     The rescaling must satisfy the shortcut boundary conditions; they are

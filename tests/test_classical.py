@@ -228,6 +228,12 @@ def test_divergence_guard():
         )
 
 
+def test_divergence_guard_catches_nan():
+    # x turns negative, log(x) is NaN, and the NaN state must abort the run
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
+        evolve_classical(lambda x, p, t: p, lambda x, p, t: np.log(x), (1.0, -5.0), 0.0, 1.0, 50)
+
+
 def test_appendix_equivalence_identity():
     res = appendix_equivalence_check(harmonic_model(), RescalingFunction(a=1.0, tau=1.0), n_steps=800)
     assert res.max_deviation < 1e-10

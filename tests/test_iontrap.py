@@ -179,6 +179,19 @@ def test_degenerate_grid_mode_warning():
         fidelity_curves(model, rf, grid, n_times=3, n_steps=50)
 
 
+def test_norm_guard_catches_nan(monkeypatch):
+    import dirac_rescale.iontrap as iontrap
+
+    def nan_states(h, t0, t1, n_steps, psi0, sample, hbar=1.0):
+        return np.zeros(len(sample)), np.full((len(sample),) + np.shape(psi0), np.nan, dtype=complex)
+
+    monkeypatch.setattr(iontrap, "evolve_states", nan_states)
+    model = IonTrapModel(tau=1.0)
+    rf = RescalingFunction(a=2.0, tau=1.0)
+    with pytest.raises(RuntimeError):
+        fidelity_curves(model, rf, WavepacketGrid.gaussian(n_points=17), n_times=3, n_steps=50)
+
+
 def test_tau_mismatch_rejected():
     model = IonTrapModel(tau=1.0)
     rf = RescalingFunction(a=2.0, tau=2.0)

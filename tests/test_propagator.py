@@ -10,6 +10,7 @@ from dirac_rescale.gauge import GaugeFrame, transformed_hamiltonian
 from dirac_rescale.propagator import (
     IDENTITY2,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     PauliHamiltonian,
     UnitarityError,
@@ -73,6 +74,25 @@ def test_step_rejects_bad_input():
         step_exact(h_bad, 0.0, 0.1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)),
+    log_scale=st.floats(-22.0, 4.0),
+    dt=st.floats(1e-3, 10.0),
+    hbar=st.sampled_from([1.0, 0.37]),
+)
+@example(d=np.array([0.3, 1.0, 0.0, 1.0]), log_scale=-20.0, dt=0.1, hbar=1.0)
+@example(d=np.array([-0.5, 0.8, -0.6, 0.1]), log_scale=4.0, dt=10.0, hbar=1.0)
+def test_step_unitary_and_matches_expm(d, log_scale, dt, hbar):
+    # |d| dt / hbar spans the Taylor branch (< 1e-14) up to ~1e5
+    d0, dx, dy, dz = d * 10.0**log_scale
+    u = su2_exponential(d0, dx, dy, dz, dt, hbar=hbar)
+    assert unitarity_defect(u) <= 1e-14
+    reference = expm(-1j * (d0 * IDENTITY2 + dx * PAULI_X + dy * PAULI_Y + dz * PAULI_Z) * dt / hbar)
+    angle = (abs(d0) + np.sqrt(dx * dx + dy * dy + dz * dz)) * dt / hbar
+    assert np.max(np.abs(u - reference)) <= 1e-12 * max(1.0, angle)
+
+
 def test_propagate_constant_hamiltonian():
     h = PauliHamiltonian.constant(dx=0.4, dy=-0.2, dz=0.9)
     for n in (1, 7, 64):
@@ -102,6 +122,37 @@ def test_propagate_unitarity_error_signal():
     h = PauliHamiltonian(lambda t: (0.0, np.inf, 0.0, 0.0))
     with pytest.raises((UnitarityError, ValueError)):
         propagate(h, 0.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(PauliHamiltonian(lambda t: (0.0, np.full_like(t, np.nan), 0.0, 1.0)), id="nan_field"),
+    pytest.param(PauliHamiltonian(lambda t: (np.full_like(t, np.nan), 1.0, 0.0, 0.0)), id="nan_phase"),
+])
+@pytest.mark.parametrize("call", [
+    lambda h: propagate(h, 0.0, 1.0, 10),
+    lambda h: propagate_sampled(h, 0.0, 1.0, 10, [0, 5, 10]),
+    lambda h: evolve_states(h, 0.0, 1.0, 10, np.array([1.0, 0.0]), [0, 5, 10]),
+], ids=["propagate", "propagate_sampled", "evolve_states"])
+def test_nan_coefficients_raise(h, call):
+    with pytest.raises(UnitarityError):
+        call(h)
+
+
+@pytest.mark.parametrize("t0,t1,n_steps,error", [
+    pytest.param(1.0, 0.0, 10, ValueError, id="backwards"),
+    pytest.param(0.0, 0.0, 10, ValueError, id="empty_window"),
+    pytest.param(0.0, 1.0, 0, ValueError, id="n_steps_zero"),
+    # a fractional step count would leave the window short of t1
+    pytest.param(0.0, 1.0, 2.5, TypeError, id="n_steps_fractional"),
+])
+@pytest.mark.parametrize("call", [
+    lambda h, t0, t1, n: propagate(h, t0, t1, n),
+    lambda h, t0, t1, n: propagate_sampled(h, t0, t1, n, [0]),
+    lambda h, t0, t1, n: evolve_states(h, t0, t1, n, np.array([1.0, 0.0]), [0]),
+], ids=["propagate", "propagate_sampled", "evolve_states"])
+def test_entry_points_reject_bad_window(call, t0, t1, n_steps, error):
+    with pytest.raises(error):
+        call(demo_hamiltonian(0.3), t0, t1, n_steps)
 
 
 def test_rescaled_identity_factor_matches_plain():
@@ -195,6 +246,29 @@ def test_determinism_bit_identical():
     u1 = propagate(h, 0.0, 1.0, 777)
     u2 = propagate(h, 0.0, 1.0, 777)
     assert np.array_equal(u1, u2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    p=hnp.arrays(float, st.integers(1, 9), elements=st.floats(-1.0, 1.0)),
+    pick=st.integers(0, 1000),
+    n_steps=st.integers(1, 9000),
+    fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+@example(p=np.linspace(-0.3, 0.3, 129), pick=17, n_steps=9000, fracs=[0.0, 0.5, 1.0])
+def test_batch_invariance_bitwise(p, pick, n_steps, fracs):
+    # a mode's result is the same bits alone or inside a batch, across step blocks
+    m = pick % p.size
+    sample = sorted(int(f * n_steps) for f in fracs)
+    hb, hm = demo_hamiltonian(p), demo_hamiltonian(float(p[m]))
+    psi0 = np.stack([np.cos(p), 1j * np.sin(p)], axis=-1)
+    assert np.array_equal(propagate(hb, 0.0, 1.0, n_steps)[m], propagate(hm, 0.0, 1.0, n_steps))
+    tb, ub = propagate_sampled(hb, 0.0, 1.0, n_steps, sample)
+    tm, um = propagate_sampled(hm, 0.0, 1.0, n_steps, sample)
+    assert np.array_equal(tb, tm) and np.array_equal(ub[:, m], um)
+    _, sb = evolve_states(hb, 0.0, 1.0, n_steps, psi0, sample)
+    _, sm = evolve_states(hm, 0.0, 1.0, n_steps, psi0[m], sample)
+    assert np.array_equal(sb[:, m], sm)
 
 
 @settings(max_examples=30, deadline=None)
