@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .gauge import ToleranceError
-from .rescaling import RescalingFunction, check_boundary
+from .rescaling import RescalingFunction, require_boundary
 
 __all__ = [
     "ClassicalModel",
@@ -226,9 +226,7 @@ def appendix_equivalence_check(model: ClassicalModel, rf: RescalingFunction,
     but uncoupled, act as mutual oracle; raises :class:`ToleranceError`
     above ``tol``.
     """
-    report = check_boundary(rf)
-    if not report.passed:
-        raise ValueError(f"rescaling fails boundary conditions:\n{report}")
+    require_boundary(rf)
     m, dV = model.m, model.dV
     y0 = np.asarray(state0, dtype=float)
     if y0.shape != (2,):

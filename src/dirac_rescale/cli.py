@@ -60,13 +60,13 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _common_defaults():
-    return {"tau": 1.0, "steps": 4000, "out": ".", "format": "csv", "config": None}
+_COMMON = {"tau": 1.0, "steps": 4000, "out": ".", "format": "csv", "config": None}
 
-
+#: every config key of each subcommand; each is also the flag --key-with-dashes,
+#: whose kind follows the type of the default (see _build_parser)
 DEFAULTS = {
     "iontrap": {
-        **_common_defaults(),
+        **_COMMON,
         "a": [1.0],
         "n_times": 33,
         "p0": 0.0,
@@ -75,16 +75,14 @@ DEFAULTS = {
         "fidelity_mode": "incoherent",
     },
     "gauge-check": {
-        **_common_defaults(),
+        **_COMMON,
         "a": [2.0],
         "p": [-1.0, 0.0, 1.0],
-        "mass": 1.0,
-        "c": 1.0,
         "n_check": 9,
         "tol": 1e-6,
     },
     "floquet": {
-        **_common_defaults(),
+        **_COMMON,
         "a": [2.0],
         # generic mode away from band degeneracies; the pumping window is
         # T0 = 50 drive periods, hence the much larger default step count
@@ -111,7 +109,7 @@ DEFAULTS = {
         "tol": 1e-6,
     },
     "appendix": {
-        **_common_defaults(),
+        **_COMMON,
         "a": [2.0],
         "mode": "classical",
         "potential": "quartic",
@@ -122,7 +120,7 @@ DEFAULTS = {
         "tol": 1e-5,
     },
     "rescale-info": {
-        **_common_defaults(),
+        **_COMMON,
         "a": [2.0],
         "n_samples": 101,
     },
@@ -138,6 +136,28 @@ CHOICES = {
     "potential": ["harmonic", "quartic"],
 }
 
+#: smallest allowed value of the integer keys
+MIN_INT = {
+    "steps": 1, "n_times": 2, "grid_points": 3, "n_check": 2,
+    "scan_points": 2, "period_steps": 1, "n_record": 1, "n_samples": 2,
+}
+
+#: flag help by config key, worded for every subcommand that has the key
+HELP = {
+    "a": "contraction factor(s); repeat for several runs",
+    "tau": "original process duration",
+    "steps": "propagation steps per window",
+    "out": "output directory",
+    "config": "JSON config file; flags override",
+    "format": "table format (summary is always JSON)",
+    "p0": "initial momentum (iontrap: packet centre)",
+    "sigma_p": "packet width",
+    "p": "momentum mode(s); repeat for several",
+    "equivalence": "also compare the contracted pumping cycle to the original",
+    "scan": "write a quasienergy scan along this axis",
+    "period_steps": "steps per drive period in scans",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -145,66 +165,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Time-rescaled shortcuts for two-level Dirac-type dynamics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--a", action="append", type=float, default=None,
-                        help="contraction factor(s); repeat for several runs")
-        sp.add_argument("--tau", type=float, default=None, help="original process duration")
-        sp.add_argument("--steps", type=int, default=None, help="propagation steps per window")
-        sp.add_argument("--out", type=str, default=None, help="output directory")
-        sp.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
-        sp.add_argument("--format", choices=CHOICES["format"], default=None,
-                        help="table format (summary is always JSON)")
-
-    sp = sub.add_parser("iontrap", help="fidelity curves of the rescaled ramp")
-    add_common(sp)
-    sp.add_argument("--n-times", dest="n_times", type=int, default=None)
-    sp.add_argument("--p0", type=float, default=None, help="packet center momentum")
-    sp.add_argument("--sigma-p", dest="sigma_p", type=float, default=None, help="packet width")
-    sp.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    sp.add_argument("--fidelity-mode", dest="fidelity_mode",
-                    choices=CHOICES["fidelity_mode"], default=None)
-
-    sp = sub.add_parser("gauge-check", help="frame-equivalence deviation report")
-    add_common(sp)
-    sp.add_argument("--p", action="append", type=float, default=None,
-                    help="momentum mode(s); repeat for several")
-    sp.add_argument("--mass", type=float, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--n-check", dest="n_check", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-
-    sp = sub.add_parser("floquet", help="quasienergy scans and the contracted-cycle identity")
-    add_common(sp)
-    for name in ("J", "lam", "V1", "V2", "Omega", "k", "phi-y", "phi-z",
-                 "T0", "r", "phi-y0", "phi-z0"):
-        sp.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float, default=None)
-    sp.add_argument("--ell", type=int, default=None)
-    sp.add_argument("--equivalence", action="store_const", const=True, default=None,
-                    help="also compare the contracted pumping cycle to the original")
-    sp.add_argument("--scan", choices=CHOICES["scan"], default=None,
-                    help="write a quasienergy scan along this axis")
-    sp.add_argument("--scan-min", dest="scan_min", type=float, default=None)
-    sp.add_argument("--scan-max", dest="scan_max", type=float, default=None)
-    sp.add_argument("--scan-points", dest="scan_points", type=int, default=None)
-    sp.add_argument("--period-steps", dest="period_steps", type=int, default=None,
-                    help="steps per drive period in scans")
-    sp.add_argument("--tol", type=float, default=None)
-
-    sp = sub.add_parser("appendix", help="canonical-transformation checks")
-    add_common(sp)
-    sp.add_argument("--mode", choices=CHOICES["mode"], default=None)
-    sp.add_argument("--potential", choices=CHOICES["potential"], default=None)
-    sp.add_argument("--x0", type=float, default=None)
-    sp.add_argument("--p0", type=float, default=None)
-    sp.add_argument("--mass", type=float, default=None)
-    sp.add_argument("--n-record", dest="n_record", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-
-    sp = sub.add_parser("rescale-info", help="rescaling samples and boundary report")
-    add_common(sp)
-    sp.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-
+    for name, defaults in DEFAULTS.items():
+        sp = sub.add_parser(name, help=_RUNNERS[name].__doc__)
+        for key, default in defaults.items():
+            if isinstance(default, bool):
+                kind = {"action": "store_const", "const": True}
+            elif isinstance(default, list):
+                kind = {"action": "append", "type": float}
+            elif isinstance(default, (int, float)):
+                kind = {"type": type(default)}
+            else:
+                kind = {"choices": CHOICES.get(key)}
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                            help=HELP.get(key), **kind)
     return parser
 
 
@@ -227,10 +200,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"unknown config keys for {sub}: {', '.join(unknown)}")
     resolved = {}
     for key, default in defaults.items():
-        if key == "config":
-            resolved[key] = args.config
-            continue
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in file_values:
@@ -251,18 +221,22 @@ def _as_float(key: str, value) -> float:
 
 
 def _file_value(key: str, value, default):
-    """A config-file value checked as its flag would be: type, then choices."""
-    if key in CHOICES:
-        if value not in CHOICES[key] and not (value is None and default is None):
-            raise ConfigError(f"{key}: must be one of {', '.join(CHOICES[key])}, got {value!r}")
-        return value
-    if key in ("a", "p"):
+    """A config-file value checked as its flag would be, by the type of the default."""
+    if isinstance(default, list):
         values = value if isinstance(value, list) else [value]
         if not values:
             raise ConfigError(f"{key}: needs at least one value")
         return [_as_float(key, v) for v in values]
     if isinstance(default, float):
         return _as_float(key, value)
+    if default is None or isinstance(default, str):
+        if value is None and default is None:
+            return None
+        choices = CHOICES.get(key)
+        if not isinstance(value, str) or (choices and value not in choices):
+            wanted = f"one of {', '.join(choices)}" if choices else "a string"
+            raise ConfigError(f"{key}: must be {wanted}, got {value!r}")
+        return value
     if type(value) is not type(default):
         raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
     return value
@@ -273,34 +247,18 @@ def _validate(sub: str, cfg: dict) -> None:
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{key}: must be finite, got {v}")
+    for key, low in MIN_INT.items():
+        if key in cfg and cfg[key] < low:
+            raise ConfigError(f"{key}: must be >= {low}, got {cfg[key]}")
     for v in cfg["a"]:
         if v < 1.0:
             raise ConfigError(f"a: contraction factor must be >= 1, got {v}")
     if not cfg["tau"] > 0:
         raise ConfigError(f"tau: must be positive, got {cfg['tau']}")
-    if cfg["steps"] < 1:
-        raise ConfigError(f"steps: must be >= 1, got {cfg['steps']}")
-    if sub == "iontrap":
-        if cfg["n_times"] < 2:
-            raise ConfigError("n_times: need at least 2 sample times")
-        if cfg["grid_points"] < 3:
-            raise ConfigError("grid_points: need at least 3 momentum samples")
-        if not cfg["sigma_p"] > 0:
-            raise ConfigError("sigma_p: must be positive")
-    if sub == "gauge-check":
-        if cfg["n_check"] < 2:
-            raise ConfigError("n_check: need at least 2 sample times")
-    if sub == "floquet":
-        if cfg["scan"] is None and not cfg["equivalence"]:
-            cfg["scan"] = "phi_z"
-        if cfg["scan_points"] < 2:
-            raise ConfigError("scan_points: need at least 2")
-        if cfg["period_steps"] < 1:
-            raise ConfigError("period_steps: must be >= 1")
-    if sub == "appendix" and cfg["n_record"] < 1:
-        raise ConfigError("n_record: must be >= 1")
-    if sub == "rescale-info" and cfg["n_samples"] < 2:
-        raise ConfigError("n_samples: need at least 2")
+    if sub == "iontrap" and not cfg["sigma_p"] > 0:
+        raise ConfigError("sigma_p: must be positive")
+    if sub == "floquet" and cfg["scan"] is None and not cfg["equivalence"]:
+        cfg["scan"] = "phi_z"
 
 
 class _ArtifactWriter:
@@ -360,7 +318,12 @@ def _summary_text(sub: str, cfg: dict, results: dict, checks: dict) -> str:
         raise RuntimeError(f"non-finite result ({exc})") from exc
 
 
+def _check(value: float, tol: float) -> dict:
+    return {"value": value, "tol": tol, "passed": value <= tol}
+
+
 def _run_iontrap(cfg: dict, writer: _ArtifactWriter) -> dict:
+    """Fidelity curves of the rescaled ramp."""
     model = IonTrapModel(tau=cfg["tau"])
     grid = WavepacketGrid.gaussian(p0=cfg["p0"], sigma_p=cfg["sigma_p"],
                                    n_points=cfg["grid_points"])
@@ -374,12 +337,13 @@ def _run_iontrap(cfg: dict, writer: _ArtifactWriter) -> dict:
             rows.append([a, t, fi, ff])
         terminal[_fmt(a)] = {"t": float(curves.t[-1]), "F_i": float(curves.f_initial[-1]),
                              "F_f": float(curves.f_final[-1])}
-    ext = "json" if cfg["format"] == "json" else "csv"
-    writer.stage(f"fidelity.{ext}", _table_text(["a", "t", "F_i", "F_f"], rows, cfg["format"]))
+    writer.stage(f"fidelity.{cfg['format']}",
+                 _table_text(["a", "t", "F_i", "F_f"], rows, cfg["format"]))
     return {"results": {"terminal": terminal}, "checks": {}}
 
 
 def _run_gauge_check(cfg: dict, writer: _ArtifactWriter) -> dict:
+    """Frame-equivalence deviation report."""
     model = IonTrapModel(tau=cfg["tau"])
     rows = []
     deviations = {}
@@ -388,23 +352,21 @@ def _run_gauge_check(cfg: dict, writer: _ArtifactWriter) -> dict:
         rf = RescalingFunction(a=a, tau=cfg["tau"])
         res = gauge_equivalence_check(
             lambda p: build_demo_hamiltonian(model, p), rf, cfg["p"],
-            n_steps=cfg["steps"], n_check=cfg["n_check"],
-            m=cfg["mass"], c=cfg["c"], tol=None,
+            n_steps=cfg["steps"], n_check=cfg["n_check"], tol=None,
         )
         for i, p in enumerate(res.momenta):
             for j, t in enumerate(res.sample_times):
                 rows.append([a, p, t, res.deviations[i, j]])
         deviations[_fmt(a)] = res.max_deviation
         worst = max(worst, res.max_deviation)
-    ext = "json" if cfg["format"] == "json" else "csv"
-    writer.stage(f"gauge_deviations.{ext}",
+    writer.stage(f"gauge_deviations.{cfg['format']}",
                  _table_text(["a", "p", "t", "deviation"], rows, cfg["format"]))
-    checks = {"frame_equivalence": {"value": worst, "tol": cfg["tol"],
-                                    "passed": worst <= cfg["tol"]}}
-    return {"results": {"max_deviation": deviations}, "checks": checks}
+    return {"results": {"max_deviation": deviations},
+            "checks": {"frame_equivalence": _check(worst, cfg["tol"])}}
 
 
 def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
+    """Quasienergy scans and the contracted-cycle identity."""
     params = WeylModelParams(
         J=cfg["J"], lam=cfg["lam"], V1=cfg["V1"], V2=cfg["V2"], Omega=cfg["Omega"],
         k=cfg["k"], phi_y=cfg["phi_y"], phi_z=cfg["phi_z"], ell=cfg["ell"],
@@ -423,8 +385,7 @@ def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
             u = floquet_operator(build_single_mode_h(p_scan), p_scan.T, cfg["period_steps"])
             e1, e2 = quasienergies(u, p_scan.T)
             rows.append([fields["k"], fields["phi_y"], fields["phi_z"], e1, e2])
-        ext = "json" if cfg["format"] == "json" else "csv"
-        writer.stage(f"quasienergies.{ext}",
+        writer.stage(f"quasienergies.{cfg['format']}",
                      _table_text(["k", "phi_y", "phi_z", "E1", "E2"], rows, cfg["format"]))
         results["scan"] = {"axis": cfg["scan"], "points": int(cfg["scan_points"])}
     if cfg["equivalence"]:
@@ -437,15 +398,14 @@ def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
             deviations[_fmt(a)] = dev
             worst = max(worst, dev)
         results["equivalence"] = deviations
-        checks["floquet_equivalence"] = {"value": worst, "tol": cfg["tol"],
-                                         "passed": worst <= cfg["tol"]}
+        checks["floquet_equivalence"] = _check(worst, cfg["tol"])
     return {"results": results, "checks": checks}
 
 
 def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
+    """Canonical-transformation checks."""
     results: dict = {}
     checks: dict = {}
-    ext = "json" if cfg["format"] == "json" else "csv"
     if cfg["mode"] == "classical":
         factory = harmonic_model if cfg["potential"] == "harmonic" else quartic_model
         model = factory(tau=cfg["tau"], m=cfg["mass"])
@@ -460,14 +420,12 @@ def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
                 dev = float(np.max(np.abs(res.mapped[j] - res.transformed[j])))
                 rows.append([res.times[j], res.original[j, 0], res.original[j, 1],
                              res.transformed[j, 0], res.transformed[j, 1], dev])
-            writer.stage(f"trajectory_a{_fmt(a)}.{ext}",
+            writer.stage(f"trajectory_a{_fmt(a)}.{cfg['format']}",
                          _table_text(["t", "x", "p", "xbar", "pbar", "deviation"],
                                      rows, cfg["format"]))
             worst[_fmt(a)] = res.max_deviation
-        value = max(worst.values())
         results["max_deviation"] = worst
-        checks["trajectory_equivalence"] = {"value": value, "tol": cfg["tol"],
-                                            "passed": value <= cfg["tol"]}
+        checks["trajectory_equivalence"] = _check(max(worst.values()), cfg["tol"])
     else:
         rows = []
         for a in cfg["a"]:
@@ -476,7 +434,7 @@ def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
             columns = (ts, *h1h2(rf, ts, cfg["mass"]), kappa(rf, ts, cfg["mass"]),
                        *quantum_coeffs(rf, ts))
             rows.extend([a, *row] for row in zip(*columns))
-        writer.stage(f"coefficients.{ext}",
+        writer.stage(f"coefficients.{cfg['format']}",
                      _table_text(["a", "t", "h1", "h2", "kappa", "alpha", "beta", "kappa_q"],
                                  rows, cfg["format"]))
         results["coefficients"] = {"rows": len(rows)}
@@ -484,6 +442,7 @@ def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
 
 
 def _run_rescale_info(cfg: dict, writer: _ArtifactWriter) -> dict:
+    """Rescaling samples and boundary report."""
     results: dict = {}
     checks: dict = {}
     rows = []
@@ -503,8 +462,7 @@ def _run_rescale_info(cfg: dict, writer: _ArtifactWriter) -> dict:
             "tol": report.tol,
             "passed": report.passed,
         }
-    ext = "json" if cfg["format"] == "json" else "csv"
-    writer.stage(f"rescaling.{ext}",
+    writer.stage(f"rescaling.{cfg['format']}",
                  _table_text(["a", "t", "f", "df", "d2f", "d3f"], rows, cfg["format"]))
     return {"results": results, "checks": checks}
 

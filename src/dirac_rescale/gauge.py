@@ -32,7 +32,7 @@ from .propagator import (
     propagate_sampled,
     time_rescaled,
 )
-from .rescaling import RescalingFunction, check_boundary
+from .rescaling import RescalingFunction, require_boundary
 
 __all__ = [
     "GaugeFrame",
@@ -168,8 +168,6 @@ def gauge_equivalence_check(
     p_list: Sequence[float],
     n_steps: int = 4000,
     n_check: int = 9,
-    m: float = 1.0,
-    c: float = 1.0,
     hbar: float = 1.0,
     tol: float | None = 1e-6,
 ) -> GaugeEquivalenceResult:
@@ -179,10 +177,8 @@ def gauge_equivalence_check(
     uses two independent propagations as mutual oracle.  Raises
     :class:`ToleranceError` if the worst mismatch exceeds ``tol``.
     """
-    report = check_boundary(rf)
-    if not report.passed:
-        raise ValueError(f"rescaling fails boundary conditions:\n{report}")
-    frame = GaugeFrame(rf=rf, m=m, c=c, hbar=hbar)
+    require_boundary(rf)
+    frame = GaugeFrame(rf=rf, hbar=hbar)
     sample = [int(round(j * n_steps / (n_check - 1))) for j in range(n_check)] if n_check > 1 else [n_steps]
     p_arr = np.asarray(list(p_list), dtype=float)
     devs = np.zeros((p_arr.size, len(sample)))

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .propagator import PauliHamiltonian, evolve_states, norm_defect
-from .rescaling import RescalingFunction, check_boundary
+from .rescaling import RescalingFunction, require_boundary
 
 __all__ = [
     "IonTrapModel",
@@ -177,11 +177,11 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
     """
     if mode not in ("incoherent", "coherent"):
         raise ValueError(f"unknown fidelity mode {mode!r}")
+    if n_times < 2:
+        raise ValueError(f"n_times must be >= 2, got {n_times}")
     if abs(grid.quadrature_norm - 1.0) > 1e-10:
         raise ValueError("wavepacket grid is not normalized")
-    report = check_boundary(rf)
-    if not report.passed:
-        raise ValueError(f"rescaling fails boundary conditions:\n{report}")
+    require_boundary(rf)
     if model.tau != rf.tau:
         raise ValueError("rescaling horizon must target the model duration tau")
     # the ramp's gap closes at p = A(tau) = 1

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rescaling import check_boundary
+from .rescaling import require_boundary
 
 __all__ = [
     "PAULI_X",
@@ -298,9 +298,7 @@ def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, hbar: float = 1.0,
     re-verified here so that hand-built rescalings cannot silently break the
     change-of-variables identity.
     """
-    report = check_boundary(rf)
-    if not report.passed:
-        raise ValueError(f"rescaling fails boundary conditions:\n{report}")
+    require_boundary(rf)
     return propagate(time_rescaled(h, rf), 0.0, rf.horizon, n_steps,
                      hbar=hbar, unitarity_tol=unitarity_tol)
 

@@ -24,6 +24,7 @@ __all__ = [
     "CustomRescaling",
     "BoundaryReport",
     "check_boundary",
+    "require_boundary",
 ]
 
 #: residual threshold for the shortcut boundary conditions
@@ -101,11 +102,8 @@ class RescalingFunction:
         return self.df(t), self.d2f(t), self.d3f(t)
 
     def inverse(self, s):
-        """t with f(t) = s, for s in [0, tau].  Uses the monotonicity of f."""
-        s_arr = np.asarray(s, dtype=float)
-        if s_arr.ndim > 0:
-            return np.array([self.inverse(float(v)) for v in s_arr.ravel()]).reshape(s_arr.shape)
-        return _invert_monotone(self, float(s_arr))
+        """t with f(t) = s, for s in [0, tau] (scalar or array).  Uses the monotonicity of f."""
+        return _invert_monotone(self, s)
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,15 @@ class CustomRescaling:
         return self.df(t), self.d2f(t), self.d3f(t)
 
     def inverse(self, s):
-        return _invert_monotone(self, float(s))
+        return _invert_monotone(self, s)
 
 
-def _invert_monotone(rf, s: float) -> float:
+def _invert_monotone(rf, s):
+    """t with rf.f(t) = s, one brentq solve per point of a scalar or array s."""
+    s_arr = np.asarray(s, dtype=float)
+    if s_arr.ndim > 0:
+        return np.array([_invert_monotone(rf, v) for v in s_arr.ravel()]).reshape(s_arr.shape)
+    s = float(s_arr)
     tau, horizon = rf.tau, rf.horizon
     slack = 1e-9 * tau
     if s < -slack or s > tau + slack:
@@ -183,3 +186,10 @@ def check_boundary(rf, tol: float = BOUNDARY_TOL, n_scan: int = 257) -> Boundary
     }
     passed = all(v < tol for v in residuals.values())
     return BoundaryReport(residuals=residuals, tol=tol, passed=passed)
+
+
+def require_boundary(rf) -> None:
+    """Raise ValueError unless ``rf`` passes :func:`check_boundary`."""
+    report = check_boundary(rf)
+    if not report.passed:
+        raise ValueError(f"rescaling fails boundary conditions:\n{report}")

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dirac_rescale.cli import main
+from dirac_rescale.cli import CHOICES, DEFAULTS, _build_parser, main
 
 
 def read(path):
@@ -255,3 +255,91 @@ def test_non_finite_result_exit(tmp_path):
     code = main(["rescale-info", "--a", "1e308", "--out", str(out)])
     assert code == 3
     assert os.listdir(out) == []
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def test_parser_flags_follow_defaults():
+    # every DEFAULTS key is a flag --key-with-dashes of the kind its default implies
+    parser = _build_parser()
+    for sub, defaults in DEFAULTS.items():
+        ns = vars(parser.parse_args([sub]))
+        assert ns.pop("subcommand") == sub
+        assert set(ns) == set(defaults) and all(v is None for v in ns.values())
+        for key, default in defaults.items():
+            if isinstance(default, bool):
+                argv, want = [_flag(key)], True
+            elif isinstance(default, list):
+                argv, want = [_flag(key), "3", _flag(key), "1.5"], [3.0, 1.5]
+            elif isinstance(default, (int, float)):
+                argv, want = [_flag(key), "7"], type(default)(7)
+            else:
+                want = CHOICES.get(key, ["x"])[-1]
+                argv = [_flag(key), want]
+            value = getattr(parser.parse_args([sub, *argv]), key)
+            assert value == want and type(value) is type(want), (sub, key)
+
+
+@pytest.mark.parametrize("argv", [
+    # gauge-check has no mass or c; "--c" alone is argparse's abbreviation of --config
+    ["gauge-check", "--mass", "2"], ["gauge-check", "--c", "3"],
+])
+def test_gauge_check_has_no_mass_or_c_flag(tmp_path, argv):
+    try:
+        code = main([*argv, "--out", str(tmp_path / "run")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["mass", "c"])
+def test_gauge_check_config_has_no_mass_or_c(tmp_path, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1.0}))
+    out = tmp_path / "run"
+    assert main(["gauge-check", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+_LOWER_BOUNDS = {
+    "steps": 1, "n_times": 2, "grid_points": 3, "n_check": 2,
+    "scan_points": 2, "period_steps": 1, "n_record": 1, "n_samples": 2,
+}
+
+
+@pytest.mark.parametrize("sub,key", [
+    (sub, key) for sub, defaults in DEFAULTS.items() for key in _LOWER_BOUNDS if key in defaults
+])
+def test_integer_lower_bounds(tmp_path, sub, key):
+    out = tmp_path / "run"
+    assert main([sub, _flag(key), str(_LOWER_BOUNDS[key] - 1), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub,key,value,extra", [
+    ("rescale-info", "tau", 2.5, []),
+    ("rescale-info", "n_samples", 7, []),
+    ("gauge-check", "p", [0.3, -0.5], ["--steps", "300", "--tol", "1"]),
+    ("appendix", "potential", "harmonic", ["--steps", "200"]),
+    ("floquet", "equivalence", True, ["--steps", "3000", "--tol", "1"]),
+], ids=["float", "int", "list", "choice", "bool"])
+def test_flag_and_config_file_agree(tmp_path, sub, key, value, extra):
+    # the same non-default value set by flag or by config file gives the same artifacts
+    if isinstance(value, bool):
+        flag = [_flag(key)]
+    elif isinstance(value, list):
+        flag = [tok for v in value for tok in (_flag(key), str(v))]
+    else:
+        flag = [_flag(key), str(value)]
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    runs = []
+    for file_values, flags in [({}, flag), ({key: value}, [])]:
+        cfg.write_text(json.dumps(file_values))
+        assert main([sub, *flags, *extra, "--config", str(cfg), "--out", str(out)]) == 0
+        runs.append({name: read(out / name) for name in sorted(os.listdir(out))})
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0]["summary.json"])["config"][key] == value

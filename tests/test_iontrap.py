@@ -197,3 +197,12 @@ def test_tau_mismatch_rejected():
     rf = RescalingFunction(a=2.0, tau=2.0)
     with pytest.raises(ValueError):
         fidelity_curves(model, rf, WavepacketGrid.gaussian(), n_times=3, n_steps=50)
+
+
+@pytest.mark.parametrize("n_times", [0, 1])
+def test_fidelity_rejects_too_few_times(n_times):
+    # at least the start and the end of the window must be sampled
+    model = IonTrapModel(tau=1.0)
+    grid = WavepacketGrid.gaussian(p0=0.0, sigma_p=0.05, n_points=9)
+    with pytest.raises(ValueError, match="n_times"):
+        fidelity_curves(model, RescalingFunction(a=2.0, tau=1.0), grid, n_times=n_times, n_steps=50)

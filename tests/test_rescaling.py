@@ -86,8 +86,16 @@ def test_inverse_roundtrip_property():
     rng = np.random.default_rng(42)
     for a, tau in [(1.0, 1.0), (2.0, 1.0), (4.0, 3.0)]:
         rf = RescalingFunction(a=a, tau=tau)
-        for t in rng.uniform(0.0, rf.horizon, size=50):
+        ts = rng.uniform(0.0, rf.horizon, size=50)
+        for t in ts:
             assert abs(rf.inverse(rf.f(t)) - t) <= 1e-10
+        # a user-supplied rescaling with the same f, df inverts arrays the same way
+        custom = CustomRescaling(a=a, tau=tau, f=rf.f, df=rf.df)
+        s = rf.f(ts).reshape(5, 10)
+        t_custom = custom.inverse(s)
+        assert t_custom.shape == (5, 10)
+        assert np.all(np.abs(t_custom - ts.reshape(5, 10)) <= 1e-10)
+        assert np.array_equal(t_custom, rf.inverse(s))
 
 
 def test_monotonicity_property():
