@@ -60,13 +60,22 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-_COMMON = {"tau": 1.0, "steps": 4000, "out": ".", "format": "csv", "config": None}
+#: propagator order of iontrap, gauge-check and floquet: the commutator-free
+#: fourth-order Magnus step (CF4, see dirac_rescale.propagator)
+ORDER = 4
+
+_COMMON = {"tau": 1.0, "out": ".", "format": "csv", "config": None}
 
 #: every config key of each subcommand; each is also the flag --key-with-dashes,
-#: whose kind follows the type of the default (see _build_parser)
+#: whose kind follows the type of the default (see _build_parser).  The
+#: propagating subcommands step with CF4 (ORDER); their step counts keep
+#: every check value at or below that of the midpoint rule at 4000 steps
+#: per window and 150000 per pumping cycle.
 DEFAULTS = {
     "iontrap": {
         **_COMMON,
+        # a multiple of n_times - 1, so the samples fall on equally spaced steps
+        "steps": 256,
         "a": [1.0],
         "n_times": 33,
         "p0": 0.0,
@@ -76,6 +85,8 @@ DEFAULTS = {
     },
     "gauge-check": {
         **_COMMON,
+        # a multiple of n_check - 1
+        "steps": 512,
         "a": [2.0],
         "p": [-1.0, 0.0, 1.0],
         "n_check": 9,
@@ -83,10 +94,10 @@ DEFAULTS = {
     },
     "floquet": {
         **_COMMON,
+        # the pumping window is T0 = 50 drive periods, hence the larger step count
+        "steps": 4000,
         "a": [2.0],
-        # generic mode away from band degeneracies; the pumping window is
-        # T0 = 50 drive periods, hence the much larger default step count
-        "steps": 150000,
+        # generic mode away from band degeneracies
         "J": 0.2,
         "lam": 0.15,
         "V1": 0.5,
@@ -105,11 +116,12 @@ DEFAULTS = {
         "scan_min": -math.pi,
         "scan_max": math.pi,
         "scan_points": 65,
-        "period_steps": 2048,
+        "period_steps": 256,
         "tol": 1e-6,
     },
     "appendix": {
         **_COMMON,
+        "steps": 4000,
         "a": [2.0],
         "mode": "classical",
         "potential": "quartic",
@@ -146,7 +158,7 @@ MIN_INT = {
 HELP = {
     "a": "contraction factor(s); repeat for several runs",
     "tau": "original process duration",
-    "steps": "propagation steps per window",
+    "steps": "time steps per window",
     "out": "output directory",
     "config": "JSON config file; flags override",
     "format": "table format (summary is always JSON)",
@@ -166,7 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, defaults in DEFAULTS.items():
-        sp = sub.add_parser(name, help=_RUNNERS[name].__doc__)
+        # no prefix matching: a mistyped or removed flag fails as unknown
+        sp = sub.add_parser(name, help=_RUNNERS[name].__doc__, allow_abbrev=False)
         for key, default in defaults.items():
             if isinstance(default, bool):
                 kind = {"action": "store_const", "const": True}
@@ -255,8 +268,15 @@ def _validate(sub: str, cfg: dict) -> None:
             raise ConfigError(f"a: contraction factor must be >= 1, got {v}")
     if not cfg["tau"] > 0:
         raise ConfigError(f"tau: must be positive, got {cfg['tau']}")
+    # each sample is a step index in [0, steps]
+    for key in ("n_times", "n_check"):
+        if key in cfg and cfg[key] > cfg["steps"] + 1:
+            raise ConfigError(f"{key}: must be <= steps + 1 = {cfg['steps'] + 1}, "
+                              f"got {cfg[key]}")
     if sub == "iontrap" and not cfg["sigma_p"] > 0:
         raise ConfigError("sigma_p: must be positive")
+    if sub == "appendix" and not cfg["mass"] > 0:
+        raise ConfigError(f"mass: must be positive, got {cfg['mass']}")
     if sub == "floquet" and cfg["scan"] is None and not cfg["equivalence"]:
         cfg["scan"] = "phi_z"
 
@@ -332,7 +352,8 @@ def _run_iontrap(cfg: dict, writer: _ArtifactWriter) -> dict:
     for a in cfg["a"]:
         rf = RescalingFunction(a=a, tau=cfg["tau"])
         curves = fidelity_curves(model, rf, grid, n_times=cfg["n_times"],
-                                 n_steps=cfg["steps"], mode=cfg["fidelity_mode"])
+                                 n_steps=cfg["steps"], mode=cfg["fidelity_mode"],
+                                 order=ORDER)
         for t, fi, ff in zip(curves.t, curves.f_initial, curves.f_final):
             rows.append([a, t, fi, ff])
         terminal[_fmt(a)] = {"t": float(curves.t[-1]), "F_i": float(curves.f_initial[-1]),
@@ -352,7 +373,7 @@ def _run_gauge_check(cfg: dict, writer: _ArtifactWriter) -> dict:
         rf = RescalingFunction(a=a, tau=cfg["tau"])
         res = gauge_equivalence_check(
             lambda p: build_demo_hamiltonian(model, p), rf, cfg["p"],
-            n_steps=cfg["steps"], n_check=cfg["n_check"], tol=None,
+            n_steps=cfg["steps"], n_check=cfg["n_check"], tol=None, order=ORDER,
         )
         for i, p in enumerate(res.momenta):
             for j, t in enumerate(res.sample_times):
@@ -382,7 +403,8 @@ def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
             fields = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z,
                       cfg["scan"]: float(v)}
             p_scan = dataclasses.replace(params, **fields)
-            u = floquet_operator(build_single_mode_h(p_scan), p_scan.T, cfg["period_steps"])
+            u = floquet_operator(build_single_mode_h(p_scan), p_scan.T, cfg["period_steps"],
+                                 order=ORDER)
             e1, e2 = quasienergies(u, p_scan.T)
             rows.append([fields["k"], fields["phi_y"], fields["phi_z"], e1, e2])
         writer.stage(f"quasienergies.{cfg['format']}",
@@ -394,7 +416,8 @@ def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
         h = build_pumping_h(params)
         for a in cfg["a"]:
             rf = RescalingFunction(a=a, tau=params.T0)
-            dev = rescaled_floquet_equivalence(h, rf, cfg["steps"], tol=None)
+            dev = rescaled_floquet_equivalence(h, rf, cfg["steps"], tol=None,
+                                               order=ORDER)
             deviations[_fmt(a)] = dev
             worst = max(worst, dev)
         results["equivalence"] = deviations

@@ -166,9 +166,9 @@ def build_pumping_h(params: WeylModelParams) -> PauliHamiltonian:
 
 
 def floquet_operator(h: PauliHamiltonian, period: float, n_steps: int,
-                     hbar: float = 1.0):
+                     hbar: float = 1.0, order: int = 2):
     """One-period time-ordered propagator U_F(period <- 0)."""
-    return propagate(h, 0.0, period, n_steps, hbar=hbar)
+    return propagate(h, 0.0, period, n_steps, hbar=hbar, order=order)
 
 
 def quasienergies(u_f, period: float, hbar: float = 1.0):
@@ -272,14 +272,14 @@ def linearized_h_near_touching(params: WeylModelParams,
 
 def rescaled_floquet_equivalence(h: PauliHamiltonian, rf: RescalingFunction,
                                  n_steps: int, hbar: float = 1.0,
-                                 tol: float | None = 1e-6) -> float:
+                                 tol: float | None = 1e-6, order: int = 2) -> float:
     """Operator-norm distance between U_F(tau <- 0) and the contracted run.
 
     The rescaling must be built with tau equal to the Floquet period under
-    test; the deviation vanishes at second order in the step size.
+    test; the deviation vanishes at the stepper's order in the step size.
     """
-    u_orig = propagate(h, 0.0, rf.tau, n_steps, hbar=hbar)
-    u_resc = rescaled_propagate(h, rf, n_steps, hbar=hbar)
+    u_orig = propagate(h, 0.0, rf.tau, n_steps, hbar=hbar, order=order)
+    u_resc = rescaled_propagate(h, rf, n_steps, hbar=hbar, order=order)
     deviation = float(np.linalg.norm(u_resc - u_orig, 2))
     if tol is not None and deviation > tol:
         raise ToleranceError(deviation, tol, what="rescaled Floquet equivalence")

@@ -170,6 +170,7 @@ def gauge_equivalence_check(
     n_check: int = 9,
     hbar: float = 1.0,
     tol: float | None = 1e-6,
+    order: int = 2,
 ) -> GaugeEquivalenceResult:
     """Propagate both frames and verify U_tilde(t) = K(t) U_frame(t).
 
@@ -187,8 +188,10 @@ def gauge_equivalence_check(
         h = model_for_momentum(float(p))
         h_tilde = time_rescaled(h, rf)
         h_frak = transformed_hamiltonian(frame, h)
-        times, u_tilde = propagate_sampled(h_tilde, 0.0, rf.horizon, n_steps, sample, hbar=hbar)
-        _, u_frak = propagate_sampled(h_frak, 0.0, rf.horizon, n_steps, sample, hbar=hbar)
+        times, u_tilde = propagate_sampled(h_tilde, 0.0, rf.horizon, n_steps, sample,
+                                           hbar=hbar, order=order)
+        _, u_frak = propagate_sampled(h_frak, 0.0, rf.horizon, n_steps, sample,
+                                      hbar=hbar, order=order)
         k_t = frame_unitary(frame, times)
         mismatch = u_tilde - np.matmul(k_t, u_frak)
         devs[i] = np.linalg.norm(mismatch, ord=2, axis=(-2, -1))

@@ -14,10 +14,18 @@ of length dt is the closed-form exponential
     exp(-i H dt / hbar) = e^{-i d0 dt/hbar} [cos(|d| dt/hbar) I
                           - i sin(|d| dt/hbar) (d/|d|).sigma] ,
 
-evaluated at the interval midpoint; the composed product is exactly unitary
-per step and globally second-order accurate, and every operation broadcasts
-over the trailing mode axes.  The time-rescaled form df(s) * H(f(s)) is
-again one such callable, evaluating f and df once per call.
+Two steppers compose such exponentials, chosen by ``order``: the midpoint
+rule (order 2, the default) takes one exponential of H at the step
+midpoint; the commutator-free fourth-order Magnus step (order 4, CF4;
+Blanes & Moan 2006, Alvermann & Fehske 2011) takes two,
+
+    exp(-i dt (a2 H1 + a1 H2)/hbar) exp(-i dt (a1 H1 + a2 H2)/hbar) ,
+
+with H1, H2 at the Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) dt and
+a1, a2 = 1/4 +- sqrt(3)/6.  Either product is exactly unitary per step,
+and every operation broadcasts over the trailing mode axes.  The
+time-rescaled form df(s) * H(f(s)) is again one such callable, evaluating
+f and df once per call.
 
 Inside the module a step is held as a real unit quaternion
 (cos x, sin x d/|d|), x = |d| dt/hbar, plus the scalar phase d0 dt/hbar.
@@ -71,6 +79,11 @@ _BLOCK_STEPS = 1 << 12
 
 #: largest |q|^2 - 1 accepted for a composed product (the default of propagate)
 _UNITARITY_TOL = 1e-8
+
+#: CF4 nodes (1/2 -+ sqrt(3)/6) as a column, and its weights 1/4 +- sqrt(3)/6
+_CF4_NODES = np.array([[0.5 - np.sqrt(3.0) / 6.0], [0.5 + np.sqrt(3.0) / 6.0]])
+_CF4_A1 = 0.25 + np.sqrt(3.0) / 6.0
+_CF4_A2 = 0.25 - np.sqrt(3.0) / 6.0
 
 
 class UnitarityError(RuntimeError):
@@ -218,8 +231,31 @@ def _ordered_product(steps):
     return steps[:, 0]
 
 
-def _checked_args(t0, t1, n_steps, sample_steps):
-    """Step length and sample indices, validated once at every entry point."""
+def _midpoint_records(h, t0, dt, lo, hi, hbar):
+    """Records (5, hi - lo, *batch) of midpoint steps lo .. hi - 1."""
+    ts = t0 + (np.arange(lo, hi, dtype=float) + 0.5) * dt
+    return _su2_step(*h.coeffs(ts), dt, hbar)
+
+
+def _cf4_records(h, t0, dt, lo, hi, hbar):
+    """Records (5, hi - lo, *batch) of CF4 steps lo .. hi - 1.
+
+    One coefficient call on the (2, n) grid of both nodes; each step is the
+    exponential of a2 H1 + a1 H2 after that of a1 H1 + a2 H2.
+    """
+    ts = t0 + (np.arange(lo, hi, dtype=float) + _CF4_NODES) * dt
+    coeffs = h.coeffs(ts)
+    first = _su2_step(*(_CF4_A1 * c[0] + _CF4_A2 * c[1] for c in coeffs), dt, hbar)
+    second = _su2_step(*(_CF4_A2 * c[0] + _CF4_A1 * c[1] for c in coeffs), dt, hbar)
+    return _compose(second, first)
+
+
+#: per-block record builder of each stepper, by order
+_STEPPERS = {2: _midpoint_records, 4: _cf4_records}
+
+
+def _checked_args(t0, t1, n_steps, sample_steps, order):
+    """Step length, sample indices and stepper, validated once at every entry point."""
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     if not operator.index(n_steps) >= 1:
@@ -227,24 +263,27 @@ def _checked_args(t0, t1, n_steps, sample_steps):
     idx = [int(k) for k in sample_steps]
     if any(k < 0 or k > n_steps for k in idx) or sorted(idx) != idx:
         raise ValueError("sample steps must be ascending indices in [0, n_steps]")
-    return (t1 - t0) / n_steps, idx
+    if order not in _STEPPERS:
+        raise ValueError(f"order must be 2 (midpoint) or 4 (CF4), got {order!r}")
+    return (t1 - t0) / n_steps, idx, _STEPPERS[order]
 
 
-def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, tol):
+def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, tol, order):
     """Sample times and the records of U(t0 + k*dt <- t0) at each sample index k.
 
-    Steps are composed in blocks of _BLOCK_STEPS from the previous sample,
-    and each sampled record must be unit to ``tol`` (NaN fails the check).
+    Steps of the given order are built and composed in blocks of
+    _BLOCK_STEPS from the previous sample, and each sampled record must be
+    unit to ``tol`` (NaN fails the check).
     """
-    dt, idx = _checked_args(t0, t1, n_steps, sample_steps)
+    dt, idx, records_of = _checked_args(t0, t1, n_steps, sample_steps, order)
     u = np.zeros((5,) + np.shape(h.coeffs(t0 + 0.5 * dt)[0]))
     u[0] = 1.0
     records = []
     prev = 0
     for k in idx:
         for lo in range(prev, k, _BLOCK_STEPS):
-            ts = t0 + (np.arange(lo, min(lo + _BLOCK_STEPS, k), dtype=float) + 0.5) * dt
-            u = _compose(_ordered_product(_su2_step(*h.coeffs(ts), dt, hbar)), u)
+            steps = records_of(h, t0, dt, lo, min(lo + _BLOCK_STEPS, k), hbar)
+            u = _compose(_ordered_product(steps), u)
         prev = k
         w, x, y, z, phase = u
         # 0 * phase is NaN for a non-finite phase, so the check fails on it too
@@ -256,26 +295,28 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, tol):
 
 
 def propagate(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
-              hbar: float = 1.0, unitarity_tol: float = _UNITARITY_TOL):
-    """Time-ordered propagator U(t1 <- t0) from n_steps midpoint exponentials."""
-    _, (u,) = _sampled_records(h, t0, t1, n_steps, [n_steps], hbar, unitarity_tol)
+              hbar: float = 1.0, unitarity_tol: float = _UNITARITY_TOL, order: int = 2):
+    """Time-ordered propagator U(t1 <- t0) from n_steps steps of the given order."""
+    _, (u,) = _sampled_records(h, t0, t1, n_steps, [n_steps], hbar, unitarity_tol, order)
     return _to_matrix(u)
 
 
 def propagate_sampled(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
-                      sample_steps: Sequence[int], hbar: float = 1.0):
+                      sample_steps: Sequence[int], hbar: float = 1.0, order: int = 2):
     """Cumulative propagators U(t_k <- t0) at the given step indices.
 
     Returns (times, us) with us[j] = U(t0 + sample_steps[j]*dt <- t0).
     """
-    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, _UNITARITY_TOL)
+    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar,
+                                      _UNITARITY_TOL, order)
     return times, np.array([_to_matrix(u) for u in records])
 
 
 def evolve_states(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
-                  psi0, sample_steps: Sequence[int], hbar: float = 1.0):
+                  psi0, sample_steps: Sequence[int], hbar: float = 1.0, order: int = 2):
     """Evolve spinor batch psi0 (..., 2), recording at the given step indices."""
-    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, _UNITARITY_TOL)
+    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar,
+                                      _UNITARITY_TOL, order)
     return times, np.array([evolve_state(_to_matrix(u), psi0) for u in records])
 
 
@@ -291,7 +332,7 @@ def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
 
 
 def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, hbar: float = 1.0,
-                       unitarity_tol: float = _UNITARITY_TOL):
+                       unitarity_tol: float = _UNITARITY_TOL, order: int = 2):
     """Propagate df(s)*H(f(s)) over [0, tau/a]; equals U(tau <- 0) of H exactly.
 
     The rescaling must satisfy the shortcut boundary conditions; they are
@@ -300,7 +341,7 @@ def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, hbar: float = 1.0,
     """
     require_boundary(rf)
     return propagate(time_rescaled(h, rf), 0.0, rf.horizon, n_steps,
-                     hbar=hbar, unitarity_tol=unitarity_tol)
+                     hbar=hbar, unitarity_tol=unitarity_tol, order=order)
 
 
 def evolve_state(u, spinor):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dirac_rescale.cli import CHOICES, DEFAULTS, _build_parser, main
+from dirac_rescale.cli import CHOICES, DEFAULTS, ORDER, _build_parser, main
 
 
 def read(path):
@@ -283,7 +283,7 @@ def test_parser_flags_follow_defaults():
 
 
 @pytest.mark.parametrize("argv", [
-    # gauge-check has no mass or c; "--c" alone is argparse's abbreviation of --config
+    # gauge-check has no mass or c; with prefix matching off, "--c" is not read as --config
     ["gauge-check", "--mass", "2"], ["gauge-check", "--c", "3"],
 ])
 def test_gauge_check_has_no_mass_or_c_flag(tmp_path, argv):
@@ -343,3 +343,90 @@ def test_flag_and_config_file_agree(tmp_path, sub, key, value, extra):
         runs.append({name: read(out / name) for name in sorted(os.listdir(out))})
     assert runs[0] == runs[1]
     assert json.loads(runs[0]["summary.json"])["config"][key] == value
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gauge-check", "--conf", "x"], "--conf"),
+    (["iontrap", "--ste", "5"], "--ste"),
+    (["floquet", "--equiv"], "--equiv"),
+    (["rescale-info", "--n-sam", "5"], "--n-sam"),
+])
+def test_flag_prefix_is_not_matched(tmp_path, capsys, argv, flag):
+    # a prefix of exactly one flag is an unknown flag, not that flag
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_rescale_info_has_no_steps(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["rescale-info", "--steps", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert main(["rescale-info", "--out", str(out)]) == 0
+    assert "steps" not in json.loads(read(out / "summary.json"))["config"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["iontrap", "--steps", "4", "--n-times", "10"],
+    ["iontrap", "--steps", "31", "--n-times", "33"],
+    ["gauge-check", "--steps", "4", "--n-check", "10"],
+    ["gauge-check", "--steps", "1", "--n-check", "3"],
+])
+def test_more_samples_than_steps_rejected(tmp_path, argv):
+    # each sample is a distinct step index in [0, steps]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,table,rows", [
+    (["iontrap", "--a", "1", "--a", "2", "--steps", "4", "--n-times", "5",
+      "--grid-points", "9"], "fidelity.csv", 10),
+    (["gauge-check", "--p", "0.3", "--steps", "4", "--n-check", "5", "--tol", "1"],
+     "gauge_deviations.csv", 5),
+])
+def test_one_sample_per_step_accepted(tmp_path, argv, table, rows):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = read(out / table).splitlines()[1:]
+    assert len(lines) == rows and len(set(lines)) == rows
+
+
+@pytest.mark.parametrize("mode,mass", [("classical", "0"), ("coeffs", "0"), ("coeffs", "-1.5")])
+def test_appendix_rejects_non_positive_mass(tmp_path, mode, mass):
+    out = tmp_path / "run"
+    assert main(["appendix", "--mode", mode, "--mass", mass, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_propagating_defaults_use_cf4():
+    assert ORDER == 4
+    steps = {"iontrap": 256, "gauge-check": 512, "floquet": 4000}
+    for sub, n in steps.items():
+        assert DEFAULTS[sub]["steps"] == n and "order" not in DEFAULTS[sub]
+    assert DEFAULTS["floquet"]["period_steps"] == 256
+    # samples land on equally spaced steps
+    assert DEFAULTS["iontrap"]["steps"] % (DEFAULTS["iontrap"]["n_times"] - 1) == 0
+    assert DEFAULTS["gauge-check"]["steps"] % (DEFAULTS["gauge-check"]["n_check"] - 1) == 0
+
+
+def test_iontrap_matches_library_cf4(tmp_path):
+    from dirac_rescale.iontrap import IonTrapModel, WavepacketGrid, fidelity_curves
+    from dirac_rescale.rescaling import RescalingFunction
+
+    out = tmp_path / "run"
+    assert main(["iontrap", "--steps", "200", "--a", "1", "--a", "3",
+                 "--grid-points", "17", "--n-times", "9", "--out", str(out)]) == 0
+    rows = [[float(v) for v in ln.split(",")] for ln in read(out / "fidelity.csv").splitlines()[1:]]
+    grid = WavepacketGrid.gaussian(n_points=17)
+    want = []
+    for a in (1.0, 3.0):
+        curves = fidelity_curves(IonTrapModel(tau=1.0), RescalingFunction(a=a, tau=1.0), grid,
+                                 n_times=9, n_steps=200, order=4)
+        want += [[a, *row] for row in zip(curves.t, curves.f_initial, curves.f_final)]
+    assert rows == want

@@ -291,3 +291,18 @@ def test_quasimomenta_wrapped_to_zone():
 def test_short_pumping_period_warns():
     with pytest.warns(RuntimeWarning):
         params(T0=10.0)
+
+
+def test_order_4_equivalence_and_quasienergies():
+    # CF4 passes through: the cycle deviation falls 16x per halving of the step,
+    # and 256 steps per drive period give the quasienergies of a fine run
+    p = params(V1=0.5, V2=0.25, k=1.1, phi_y=0.8, phi_z=0.5, phi_y0=0.8, phi_z0=0.5)
+    h = build_pumping_h(p)
+    rf = RescalingFunction(a=2.0, tau=p.T0)
+    devs = [rescaled_floquet_equivalence(h, rf, n, tol=None, order=4) for n in (1000, 2000, 4000)]
+    assert all(14.0 < x / y < 18.0 for x, y in zip(devs, devs[1:]))
+    assert devs[-1] < 1e-9
+    hs = build_single_mode_h(p)
+    reference = quasienergies(floquet_operator(hs, p.T, 8192, order=4), p.T)
+    coarse = quasienergies(floquet_operator(hs, p.T, 256, order=4), p.T)
+    assert np.max(np.abs(coarse - reference)) < 1e-12

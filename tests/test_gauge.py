@@ -187,3 +187,16 @@ def test_phi_domain_error():
     frame = GaugeFrame(rf=RescalingFunction(a=2.0, tau=1.0))
     with pytest.raises(ValueError):
         phi_of_t(frame, -0.2)
+
+
+def test_gauge_check_order_4():
+    # CF4 passes through: at 512 steps the frames agree far tighter than at order 2
+    model = IonTrapModel(tau=1.0)
+    rf = RescalingFunction(a=2.0, tau=1.0)
+
+    def run(order):
+        return gauge_equivalence_check(lambda p: build_demo_hamiltonian(model, p), rf,
+                                       [-1.0, 0.0, 1.0], n_steps=512, tol=None,
+                                       order=order).max_deviation
+
+    assert run(4) < 1e-10 < 1e-7 < run(2)

@@ -182,7 +182,7 @@ def test_degenerate_grid_mode_warning():
 def test_norm_guard_catches_nan(monkeypatch):
     import dirac_rescale.iontrap as iontrap
 
-    def nan_states(h, t0, t1, n_steps, psi0, sample, hbar=1.0):
+    def nan_states(h, t0, t1, n_steps, psi0, sample, hbar=1.0, order=2):
         return np.zeros(len(sample)), np.full((len(sample),) + np.shape(psi0), np.nan, dtype=complex)
 
     monkeypatch.setattr(iontrap, "evolve_states", nan_states)
@@ -206,3 +206,32 @@ def test_fidelity_rejects_too_few_times(n_times):
     grid = WavepacketGrid.gaussian(p0=0.0, sigma_p=0.05, n_points=9)
     with pytest.raises(ValueError, match="n_times"):
         fidelity_curves(model, RescalingFunction(a=2.0, tau=1.0), grid, n_times=n_times, n_steps=50)
+
+
+def test_fidelity_order_4_matches_fine_reference():
+    # CF4 at 256 steps is within 1e-10 of a fine run; the midpoint rule at 256 is not
+    model = IonTrapModel(tau=1.0)
+    rf = RescalingFunction(a=4.0, tau=1.0)
+    grid = WavepacketGrid.gaussian(n_points=33)
+    reference = fidelity_curves(model, rf, grid, n_steps=8192, order=4)
+
+    def error(n_steps, order):
+        c = fidelity_curves(model, rf, grid, n_steps=n_steps, order=order)
+        return max(np.max(np.abs(c.f_initial - reference.f_initial)),
+                   np.max(np.abs(c.f_final - reference.f_final)))
+
+    assert error(256, 4) < 1e-10 < 1e-7 < error(256, 2)
+
+
+def test_fidelity_default_is_midpoint():
+    # the library default (order 2) is the midpoint rule that wrote the
+    # midpoint-era artifacts, bit for bit; CF4 is opt-in
+    model = IonTrapModel(tau=1.0)
+    rf = RescalingFunction(a=2.0, tau=1.0)
+    grid = WavepacketGrid.gaussian(n_points=9)
+    default = fidelity_curves(model, rf, grid, n_times=5, n_steps=400)
+    midpoint = fidelity_curves(model, rf, grid, n_times=5, n_steps=400, order=2)
+    cf4 = fidelity_curves(model, rf, grid, n_times=5, n_steps=400, order=4)
+    for name in ("t", "f_initial", "f_final"):
+        assert np.array_equal(getattr(default, name), getattr(midpoint, name))
+    assert not np.array_equal(default.f_final, cf4.f_final)

@@ -117,6 +117,31 @@ def test_propagate_second_order_convergence():
     assert 1.9 <= -slope <= 2.1
 
 
+def test_rescaled_propagate_fourth_order_convergence():
+    # CF4: the error falls 2^4 = 16 times per halving of the step
+    h = demo_hamiltonian(0.3)
+    rf = RescalingFunction(a=2.0, tau=1.0)
+    reference = rescaled_propagate(h, rf, 8000, order=4)
+    ns = np.array([50, 100, 200, 400])
+    errs = [np.linalg.norm(rescaled_propagate(h, rf, int(n), order=4) - reference, 2) for n in ns]
+    slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
+    assert 3.9 <= -slope <= 4.1
+    # both orders converge to the same operator
+    assert np.linalg.norm(rescaled_propagate(h, rf, 16000) - reference, 2) < 1e-8
+
+
+@pytest.mark.parametrize("call", [
+    lambda h, order: propagate(h, 0.0, 1.0, 10, order=order),
+    lambda h, order: propagate_sampled(h, 0.0, 1.0, 10, [0, 10], order=order),
+    lambda h, order: evolve_states(h, 0.0, 1.0, 10, np.array([1.0, 0.0]), [10], order=order),
+    lambda h, order: rescaled_propagate(h, RescalingFunction(a=2.0, tau=1.0), 10, order=order),
+], ids=["propagate", "propagate_sampled", "evolve_states", "rescaled_propagate"])
+@pytest.mark.parametrize("order", [1, 3, 6])
+def test_entry_points_reject_bad_order(call, order):
+    with pytest.raises(ValueError, match="order"):
+        call(demo_hamiltonian(0.3), order)
+
+
 def test_propagate_unitarity_error_signal():
     # wildly stiff coefficients at one huge step trip the defect guard
     h = PauliHamiltonian(lambda t: (0.0, np.inf, 0.0, 0.0))
@@ -248,26 +273,31 @@ def test_determinism_bit_identical():
     assert np.array_equal(u1, u2)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     p=hnp.arrays(float, st.integers(1, 9), elements=st.floats(-1.0, 1.0)),
     pick=st.integers(0, 1000),
     n_steps=st.integers(1, 9000),
     fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    order=st.sampled_from([2, 4]),
 )
-@example(p=np.linspace(-0.3, 0.3, 129), pick=17, n_steps=9000, fracs=[0.0, 0.5, 1.0])
-def test_batch_invariance_bitwise(p, pick, n_steps, fracs):
-    # a mode's result is the same bits alone or inside a batch, across step blocks
+@example(p=np.linspace(-0.3, 0.3, 129), pick=17, n_steps=9000, fracs=[0.0, 0.5, 1.0], order=2)
+@example(p=np.linspace(-0.3, 0.3, 129), pick=17, n_steps=9000, fracs=[0.0, 0.5, 1.0], order=4)
+@example(p=np.linspace(-0.3, 0.3, 129), pick=40, n_steps=256, fracs=[0.25, 1.0], order=4)
+def test_batch_invariance_bitwise(p, pick, n_steps, fracs, order):
+    # a mode's result is the same bits alone or inside a batch, across step
+    # blocks, for either stepper
     m = pick % p.size
     sample = sorted(int(f * n_steps) for f in fracs)
     hb, hm = demo_hamiltonian(p), demo_hamiltonian(float(p[m]))
     psi0 = np.stack([np.cos(p), 1j * np.sin(p)], axis=-1)
-    assert np.array_equal(propagate(hb, 0.0, 1.0, n_steps)[m], propagate(hm, 0.0, 1.0, n_steps))
-    tb, ub = propagate_sampled(hb, 0.0, 1.0, n_steps, sample)
-    tm, um = propagate_sampled(hm, 0.0, 1.0, n_steps, sample)
+    assert np.array_equal(propagate(hb, 0.0, 1.0, n_steps, order=order)[m],
+                          propagate(hm, 0.0, 1.0, n_steps, order=order))
+    tb, ub = propagate_sampled(hb, 0.0, 1.0, n_steps, sample, order=order)
+    tm, um = propagate_sampled(hm, 0.0, 1.0, n_steps, sample, order=order)
     assert np.array_equal(tb, tm) and np.array_equal(ub[:, m], um)
-    _, sb = evolve_states(hb, 0.0, 1.0, n_steps, psi0, sample)
-    _, sm = evolve_states(hm, 0.0, 1.0, n_steps, psi0[m], sample)
+    _, sb = evolve_states(hb, 0.0, 1.0, n_steps, psi0, sample, order=order)
+    _, sm = evolve_states(hm, 0.0, 1.0, n_steps, psi0[m], sample, order=order)
     assert np.array_equal(sb[:, m], sm)
 
 
