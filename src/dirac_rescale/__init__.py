@@ -51,6 +51,7 @@ from .floquet import (
     quasienergies,
     quasienergy_gap,
     rescaled_floquet_equivalence,
+    scan_quasienergies,
 )
 from .classical import (
     AppendixCheckResult,

@@ -13,7 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import math
 import os
@@ -33,10 +33,8 @@ from .classical import (
 from .floquet import (
     WeylModelParams,
     build_pumping_h,
-    build_single_mode_h,
-    floquet_operator,
-    quasienergies,
     rescaled_floquet_equivalence,
+    scan_quasienergies,
 )
 from .gauge import gauge_equivalence_check
 from .iontrap import IonTrapModel, WavepacketGrid, build_demo_hamiltonian, fidelity_curves
@@ -171,6 +169,7 @@ HELP = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirac-rescale",
@@ -289,7 +288,6 @@ class _ArtifactWriter:
         self.staged = []  # (tmp_path, final_path)
 
     def stage(self, name: str, text: str) -> str:
-        os.makedirs(self.out_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=f".{name}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -312,13 +310,25 @@ class _ArtifactWriter:
 
 
 def _table_text(header: list[str], rows: list[list], fmt: str) -> str:
+    """The table as CSV or JSON; a NaN or infinite entry raises RuntimeError."""
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        return json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
+        try:
+            return json.dumps(payload, indent=2, sort_keys=True, default=float,
+                              allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise RuntimeError(f"non-finite table value ({exc})") from exc
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
-                              for v in row))
+        cells = []
+        for v in row:
+            if isinstance(v, (int, float, np.floating)):
+                if not math.isfinite(v):
+                    raise RuntimeError(f"non-finite table value {v}")
+                cells.append(_fmt(v))
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -396,16 +406,14 @@ def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
     results: dict = {}
     checks: dict = {}
     if cfg["scan"] is not None:
-        rows = []
         values = np.linspace(cfg["scan_min"], cfg["scan_max"], cfg["scan_points"])
-        for v in values:
-            # rows echo the requested value; the params hold it zone-wrapped
+        energies = scan_quasienergies(params, cfg["scan"], values, cfg["period_steps"],
+                                      order=ORDER)
+        rows = []
+        for v, (e1, e2) in zip(values, energies):
+            # rows echo the requested value; the scan uses it zone-wrapped
             fields = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z,
                       cfg["scan"]: float(v)}
-            p_scan = dataclasses.replace(params, **fields)
-            u = floquet_operator(build_single_mode_h(p_scan), p_scan.T, cfg["period_steps"],
-                                 order=ORDER)
-            e1, e2 = quasienergies(u, p_scan.T)
             rows.append([fields["k"], fields["phi_y"], fields["phi_z"], e1, e2])
         writer.stage(f"quasienergies.{cfg['format']}",
                      _table_text(["k", "phi_y", "phi_z", "E1", "E2"], rows, cfg["format"]))
@@ -509,6 +517,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     writer = _ArtifactWriter(cfg["out"])
     try:
+        os.makedirs(cfg["out"], exist_ok=True)
         try:
             outcome = _RUNNERS[args.subcommand](cfg, writer)
             summary = _summary_text(args.subcommand, cfg, outcome["results"], outcome["checks"])

@@ -41,6 +41,7 @@ __all__ = [
     "pumping_path",
     "floquet_operator",
     "quasienergies",
+    "scan_quasienergies",
     "quasienergy_gap",
     "perturbative_floquet",
     "calibrate_perturbative_prefactor",
@@ -52,12 +53,11 @@ __all__ = [
 MIN_PUMPING_RATIO = 50.0
 
 
-def _wrap_angle(x: float) -> float:
-    """Reduce to the quasimomentum zone (-pi, pi]."""
-    y = math.fmod(x + math.pi, 2.0 * math.pi)
-    if y <= 0.0:
-        y += 2.0 * math.pi
-    return y - math.pi
+def _wrap_angle(x):
+    """Reduce to the quasimomentum zone (-pi, pi], elementwise (exact fmod)."""
+    y = np.fmod(np.asarray(x, dtype=float) + math.pi, 2.0 * math.pi)
+    out = np.where(y <= 0.0, y + 2.0 * math.pi, y) - math.pi
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,22 @@ class WeylModelParams:
 
 def build_single_mode_h(params: WeylModelParams) -> PauliHamiltonian:
     """The mode Hamiltonian at frozen quasimomenta; T-periodic in t."""
+    return _frozen_mode_h(params, params.k, params.phi_y, params.phi_z)
+
+
+def _frozen_mode_h(params: WeylModelParams, k, phi_y, phi_z) -> PauliHamiltonian:
+    """Mode Hamiltonian at quasimomenta that may be arrays of modes (one trailing axis)."""
     J, lam, V1, V2, Om = params.J, params.lam, params.V1, params.V2, params.Omega
-    dx = 2.0 * J * np.cos(params.k)
-    dy = 2.0 * lam * np.sin(params.k) * np.cos(params.phi_y)
-    cz = np.cos(params.phi_z)
-    return PauliHamiltonian(lambda t: (0.0, dx, dy, (V1 + V2 * np.cos(Om * t)) * cz))
+    dx = 2.0 * J * np.cos(k)
+    dy = 2.0 * lam * np.sin(k) * np.cos(phi_y)
+    cz = np.cos(phi_z)
+    modes = np.ndim(dx) or np.ndim(dy) or np.ndim(cz)
+
+    def terms(t):
+        t = t[..., None] if modes else t
+        return 0.0, dx, dy, (V1 + V2 * np.cos(Om * t)) * cz
+
+    return PauliHamiltonian(terms)
 
 
 def build_rotating_frame_h(params: WeylModelParams,
@@ -186,6 +197,25 @@ def quasienergies(u_f, period: float, hbar: float = 1.0):
     energies = -hbar * np.angle(lam) / period
     energies = np.where(energies == -edge, edge, energies)
     return np.sort(energies, axis=-1)
+
+
+def scan_quasienergies(params: WeylModelParams, axis: str, values, n_steps: int,
+                       order: int = 2) -> np.ndarray:
+    """Quasienergies (n, 2) of the frozen mode with ``axis`` set to each of n values.
+
+    ``axis`` is one of "k", "phi_y", "phi_z"; the values are zone-wrapped as
+    the params would hold them.  All values share one propagation over the
+    drive period, on a trailing mode axis, so each row is bitwise that of
+    ``quasienergies(floquet_operator(build_single_mode_h(replace(params,
+    axis=v)), ...))``.
+    """
+    if axis not in ("k", "phi_y", "phi_z"):
+        raise ValueError(f"scan axis must be k, phi_y or phi_z, got {axis!r}")
+    angles = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z}
+    angles[axis] = _wrap_angle(np.atleast_1d(values))
+    h = _frozen_mode_h(params, **angles)
+    u = floquet_operator(h, params.T, n_steps, hbar=params.hbar, order=order)
+    return quasienergies(u, params.T, hbar=params.hbar)
 
 
 def quasienergy_gap(u_f, period: float, hbar: float = 1.0) -> float:

@@ -163,7 +163,7 @@ class GaugeEquivalenceResult:
 
 
 def gauge_equivalence_check(
-    model_for_momentum: Callable[[float], PauliHamiltonian],
+    model_for_momentum: Callable[[np.ndarray], PauliHamiltonian],
     rf: RescalingFunction,
     p_list: Sequence[float],
     n_steps: int = 4000,
@@ -174,30 +174,38 @@ def gauge_equivalence_check(
 ) -> GaugeEquivalenceResult:
     """Propagate both frames and verify U_tilde(t) = K(t) U_frame(t).
 
+    ``model_for_momentum`` receives the momenta as one array (n_p,) and
+    returns a Hamiltonian with a trailing mode axis of that length (e.g.
+    :func:`~dirac_rescale.iontrap.build_demo_hamiltonian`).  Both frames
+    share the window [0, tau/a], so they are stacked on one axis before the
+    modes and propagated together; the propagator is batch-invariant, so
+    each momentum's result is bitwise that of a run on its own.
+
     The check is operator-level (valid for every initial state at once) and
-    uses two independent propagations as mutual oracle.  Raises
-    :class:`ToleranceError` if the worst mismatch exceeds ``tol``.
+    uses two independent propagations as mutual oracle.  ``n_check`` samples
+    fall on steps round(j * n_steps / (n_check - 1)), so at most n_steps + 1
+    are allowed.  Raises :class:`ToleranceError` if the worst mismatch
+    exceeds ``tol``.
     """
+    if not 1 <= n_check <= n_steps + 1:
+        raise ValueError(f"n_check must be in [1, n_steps + 1 = {n_steps + 1}], got {n_check}")
     require_boundary(rf)
     frame = GaugeFrame(rf=rf, hbar=hbar)
     sample = [int(round(j * n_steps / (n_check - 1))) for j in range(n_check)] if n_check > 1 else [n_steps]
     p_arr = np.asarray(list(p_list), dtype=float)
-    devs = np.zeros((p_arr.size, len(sample)))
-    times = None
-    for i, p in enumerate(p_arr):
-        h = model_for_momentum(float(p))
-        h_tilde = time_rescaled(h, rf)
-        h_frak = transformed_hamiltonian(frame, h)
-        times, u_tilde = propagate_sampled(h_tilde, 0.0, rf.horizon, n_steps, sample,
-                                           hbar=hbar, order=order)
-        _, u_frak = propagate_sampled(h_frak, 0.0, rf.horizon, n_steps, sample,
-                                      hbar=hbar, order=order)
-        k_t = frame_unitary(frame, times)
-        mismatch = u_tilde - np.matmul(k_t, u_frak)
-        devs[i] = np.linalg.norm(mismatch, ord=2, axis=(-2, -1))
+    h = model_for_momentum(p_arr)
+    h_tilde = time_rescaled(h, rf)
+    h_frak = transformed_hamiltonian(frame, h)
+    # coefficients (..., frame, mode): the substituted run first, the rotated frame second
+    h_both = PauliHamiltonian(lambda t: tuple(
+        np.stack(pair, axis=-2) for pair in zip(h_tilde.coeffs(t), h_frak.coeffs(t))))
+    times, us = propagate_sampled(h_both, 0.0, rf.horizon, n_steps, sample,
+                                  hbar=hbar, order=order)
+    mismatch = us[:, 0] - frame_unitary(frame, times)[:, None] @ us[:, 1]
+    devs = np.linalg.norm(mismatch, ord=2, axis=(-2, -1)).T
     result = GaugeEquivalenceResult(
         momenta=p_arr,
-        sample_times=np.asarray(times),
+        sample_times=times,
         deviations=devs,
         max_deviation=float(devs.max()),
     )

@@ -177,8 +177,9 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
     """
     if mode not in ("incoherent", "coherent"):
         raise ValueError(f"unknown fidelity mode {mode!r}")
-    if n_times < 2:
-        raise ValueError(f"n_times must be >= 2, got {n_times}")
+    # each sample is a step index in [0, n_steps]
+    if not 2 <= n_times <= n_steps + 1:
+        raise ValueError(f"n_times must be in [2, n_steps + 1 = {n_steps + 1}], got {n_times}")
     if abs(grid.quadrature_norm - 1.0) > 1e-10:
         raise ValueError("wavepacket grid is not normalized")
     require_boundary(rf)

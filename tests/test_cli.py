@@ -257,6 +257,45 @@ def test_non_finite_result_exit(tmp_path):
     assert os.listdir(out) == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["appendix", "--mode", "coeffs", "--a", "1e300"],
+    ["rescale-info", "--a", "1e300"],
+])
+def test_non_finite_table_not_published(tmp_path, argv, fmt):
+    # a table with NaN or Infinity fails the run and leaves nothing behind
+    out = tmp_path / "run"
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 3
+    assert os.listdir(out) == []
+
+
+def test_back_to_back_runs_match_lone_runs(tmp_path, monkeypatch):
+    # the parser is built once per process; runs sharing it write what each
+    # writes alone (relative --out, so summary.json echoes the same path)
+    runs = [
+        ["floquet", "--scan", "k", "--scan-points", "5", "--period-steps", "16"],
+        ["gauge-check", "--steps", "16", "--n-check", "3", "--p", "0.2", "--tol", "1"],
+        ["rescale-info", "--a", "3", "--format", "json", "--n-samples", "5"],
+        ["floquet", "--scan", "phi_y", "--scan-points", "3", "--period-steps", "8",
+         "--format", "json"],
+        ["gauge-check", "--steps", "8", "--n-check", "2", "--a", "3", "--tol", "1"],
+    ]
+    for where in ("together", "alone"):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        for i, argv in enumerate(runs):
+            if where == "alone":
+                _build_parser.cache_clear()
+            assert main([*argv, "--out", f"run{i}"]) == 0
+    assert _build_parser() is _build_parser()
+    for i in range(len(runs)):
+        together, alone = tmp_path / "together" / f"run{i}", tmp_path / "alone" / f"run{i}"
+        assert sorted(os.listdir(together)) == sorted(os.listdir(alone))
+        for name in os.listdir(alone):
+            assert read(together / name) == read(alone / name), (runs[i], name)
+
+
 def _flag(key):
     return "--" + key.replace("_", "-")
 

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import j0
@@ -19,6 +23,7 @@ from dirac_rescale.floquet import (
     quasienergies,
     quasienergy_gap,
     rescaled_floquet_equivalence,
+    scan_quasienergies,
 )
 from dirac_rescale.gauge import ToleranceError
 from dirac_rescale.propagator import IDENTITY2, PauliHamiltonian, propagate
@@ -306,3 +311,30 @@ def test_order_4_equivalence_and_quasienergies():
     reference = quasienergies(floquet_operator(hs, p.T, 8192, order=4), p.T)
     coarse = quasienergies(floquet_operator(hs, p.T, 256, order=4), p.T)
     assert np.max(np.abs(coarse - reference)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    axis=st.sampled_from(["k", "phi_y", "phi_z"]),
+    values=hnp.arrays(float, st.integers(1, 65), elements=st.floats(-10.0, 10.0)),
+    n_steps=st.integers(1, 64),
+    order=st.sampled_from([2, 4]),
+)
+@example(axis="phi_z", values=np.linspace(-math.pi, math.pi, 65), n_steps=256, order=4)
+@example(axis="k", values=np.array([math.pi, -math.pi, 3 * math.pi, -7.0, 0.0]),
+         n_steps=16, order=2)
+def test_scan_matches_loop_bitwise(axis, values, n_steps, order):
+    # one batched propagation gives each value's quasienergies to the bit,
+    # zone wrapping of values outside (-pi, pi] included
+    p = params(V1=0.5, V2=0.25, k=1.1, phi_y=0.8, phi_z=0.5)
+    got = scan_quasienergies(p, axis, values, n_steps, order=order)
+    want = [quasienergies(floquet_operator(build_single_mode_h(replace(p, **{axis: float(v)})),
+                                           p.T, n_steps, order=order), p.T)
+            for v in values]
+    assert got.shape == (values.size, 2)
+    assert np.array_equal(got, np.array(want))
+
+
+def test_scan_rejects_unknown_axis():
+    with pytest.raises(ValueError, match="scan axis"):
+        scan_quasienergies(params(), "ell", [0.0], 16)

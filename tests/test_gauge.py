@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dirac_rescale.gauge import (
     GaugeFrame,
@@ -17,6 +20,7 @@ from dirac_rescale.propagator import (
     IDENTITY2,
     PAULI_X,
     PauliHamiltonian,
+    propagate_sampled,
     time_rescaled,
     unitarity_defect,
 )
@@ -200,3 +204,61 @@ def test_gauge_check_order_4():
                                        order=order).max_deviation
 
     assert run(4) < 1e-10 < 1e-7 < run(2)
+
+
+def _one_momentum_reference(rf, p, n_steps, n_check, order):
+    """Deviations of one momentum from two separate scalar-p propagations."""
+    model = IonTrapModel(tau=rf.tau)
+    frame = GaugeFrame(rf=rf)
+    h = build_demo_hamiltonian(model, float(p))
+    sample = [int(round(j * n_steps / (n_check - 1))) for j in range(n_check)]
+    times, u_tilde = propagate_sampled(time_rescaled(h, rf), 0.0, rf.horizon, n_steps,
+                                       sample, order=order)
+    _, u_frak = propagate_sampled(transformed_hamiltonian(frame, h), 0.0, rf.horizon,
+                                  n_steps, sample, order=order)
+    mismatch = u_tilde - np.matmul(frame_unitary(frame, times), u_frak)
+    return times, np.linalg.norm(mismatch, ord=2, axis=(-2, -1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=hnp.arrays(float, st.integers(1, 7), elements=st.floats(-1.5, 1.5)),
+    a=st.floats(1.0, 8.0),
+    n_steps=st.integers(2, 96),
+    order=st.sampled_from([2, 4]),
+)
+@example(p=np.array([-0.9, -0.3, 0.1, 0.5, 0.77]), a=4.0, n_steps=512, order=4)
+def test_gauge_check_batch_matches_single_momenta_bitwise(p, a, n_steps, order):
+    # all momenta and both frames in one propagation give each momentum's
+    # deviations to the bit, as one-momentum calls and as scalar-p runs do
+    rf = RescalingFunction(a=a, tau=1.0)
+    n_check = min(9, n_steps + 1)
+
+    def run(ps):
+        return gauge_equivalence_check(demo_builder(), rf, ps, n_steps=n_steps,
+                                       n_check=n_check, tol=None, order=order)
+
+    batch = run(p)
+    singles = [run([v]) for v in p]
+    assert np.array_equal(batch.momenta, p)
+    assert np.array_equal(batch.deviations, np.concatenate([s.deviations for s in singles]))
+    assert all(np.array_equal(batch.sample_times, s.sample_times) for s in singles)
+    times, devs = _one_momentum_reference(rf, p[0], n_steps, n_check, order)
+    assert np.array_equal(batch.sample_times, times)
+    assert np.array_equal(batch.deviations[0], devs)
+
+
+@pytest.mark.parametrize("n_steps,n_check", [(4, 10), (1, 3), (4, 0), (4, -1)])
+def test_gauge_check_rejects_bad_sample_count(n_steps, n_check):
+    # each sample is a distinct step index in [0, n_steps]
+    with pytest.raises(ValueError, match="n_check"):
+        gauge_equivalence_check(demo_builder(), RescalingFunction(a=2.0, tau=1.0), [0.3],
+                                n_steps=n_steps, n_check=n_check)
+
+
+@pytest.mark.parametrize("n_steps,n_check", [(4, 5), (1, 2), (4, 1)])
+def test_gauge_check_accepts_one_sample_per_step(n_steps, n_check):
+    res = gauge_equivalence_check(demo_builder(), RescalingFunction(a=2.0, tau=1.0), [0.3],
+                                  n_steps=n_steps, n_check=n_check, tol=None)
+    assert res.sample_times.size == len(set(res.sample_times)) == n_check
+    assert res.sample_times[-1] == pytest.approx(0.5)

@@ -208,6 +208,25 @@ def test_fidelity_rejects_too_few_times(n_times):
         fidelity_curves(model, RescalingFunction(a=2.0, tau=1.0), grid, n_times=n_times, n_steps=50)
 
 
+@pytest.mark.parametrize("n_times,n_steps", [(10, 4), (33, 31), (3, 1)])
+def test_fidelity_rejects_more_samples_than_steps(n_times, n_steps):
+    # each sample is a distinct step index in [0, n_steps]
+    model = IonTrapModel(tau=1.0)
+    grid = WavepacketGrid.gaussian(p0=0.0, sigma_p=0.05, n_points=9)
+    with pytest.raises(ValueError, match="n_times"):
+        fidelity_curves(model, RescalingFunction(a=2.0, tau=1.0), grid, n_times=n_times,
+                        n_steps=n_steps)
+
+
+@pytest.mark.parametrize("n_times,n_steps", [(5, 4), (2, 1)])
+def test_fidelity_accepts_one_sample_per_step(n_times, n_steps):
+    model = IonTrapModel(tau=1.0)
+    grid = WavepacketGrid.gaussian(p0=0.0, sigma_p=0.05, n_points=9)
+    curves = fidelity_curves(model, RescalingFunction(a=2.0, tau=1.0), grid, n_times=n_times,
+                             n_steps=n_steps)
+    assert curves.t.size == len(set(curves.t)) == n_times
+
+
 def test_fidelity_order_4_matches_fine_reference():
     # CF4 at 256 steps is within 1e-10 of a fine run; the midpoint rule at 256 is not
     model = IonTrapModel(tau=1.0)
