@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import jv
 
 from .propagator import (
     IDENTITY2,
@@ -237,6 +236,8 @@ def perturbative_floquet(params: WeylModelParams, bessel_order: int = 0):
     the first-order term of the numeric operator (see
     :func:`calibrate_perturbative_prefactor`).
     """
+    from scipy.special import jv  # here, not at module level: keeps scipy off the CLI's import path
+
     params.phi_l  # raises if the touching angle does not exist
     kx = params.k - math.pi / 2.0
     ky = params.phi_y - math.pi / 2.0
@@ -252,6 +253,8 @@ def calibrate_perturbative_prefactor(params: WeylModelParams, n_steps: int = 200
     dominates, evolves the touching-point Hamiltonian over one pumping
     period and reads the sx component of (U - I)/i.
     """
+    from scipy.special import jv
+
     small = replace(params, J=params.J * scale, lam=params.lam * scale)
     h = linearized_h_near_touching(small, include_offset=False, freeze_kz=True)
     u = propagate(h, 0.0, small.T0, n_steps, hbar=small.hbar)

@@ -352,7 +352,7 @@ def evolve_state(u, spinor):
 def unitarity_defect(u) -> float:
     """Largest singular value of U^dag U - I, maximized over any batch."""
     u = np.asarray(u)
-    if not np.all(np.isfinite(u.view(float))):
+    if not np.all(np.isfinite(u)):
         return float("inf")
     gram = np.einsum("...ji,...jk->...ik", u.conj(), u) - IDENTITY2
     return float(np.max(np.linalg.svd(gram, compute_uv=False)))

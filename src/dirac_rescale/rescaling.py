@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "RescalingFunction",
@@ -136,6 +135,8 @@ class CustomRescaling:
 
 def _invert_monotone(rf, s):
     """t with rf.f(t) = s, one brentq solve per point of a scalar or array s."""
+    from scipy.optimize import brentq  # here, not at module level: keeps scipy off the CLI's import path
+
     s_arr = np.asarray(s, dtype=float)
     if s_arr.ndim > 0:
         return np.array([_invert_monotone(rf, v) for v in s_arr.ravel()]).reshape(s_arr.shape)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from dirac_rescale.gauge import GaugeFrame, transformed_hamiltonian
+from dirac_rescale.iontrap import IonTrapModel, build_demo_hamiltonian
 
 from dirac_rescale.propagator import (
     IDENTITY2,
@@ -302,6 +305,20 @@ def test_batch_invariance_bitwise(p, pick, n_steps, fracs, order):
 
 
 @settings(max_examples=30, deadline=None)
+@given(a=st.floats(1.0, 16.0), p=st.floats(-0.5, 0.5))
+@example(a=1.0, p=0.0)
+@example(a=16.0, p=-0.5)
+def test_rescaled_propagate_matches_original_property(a, p):
+    # U(tau <- 0) of H equals the propagator of df(s) H(f(s)) over [0, tau/a],
+    # with the contracted window stepped about as finely as the original
+    h = build_demo_hamiltonian(IonTrapModel(), p)
+    rf = RescalingFunction(a=a, tau=1.0)
+    u_resc = rescaled_propagate(h, rf, math.ceil(64 * a), order=4)
+    u_orig = propagate(h, 0.0, 1.0, 512, order=4)
+    assert np.linalg.norm(u_resc - u_orig, 2) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
 @given(
     a=st.floats(1.0, 16.0),
     frac=st.floats(0.0, 1.0),
@@ -333,3 +350,20 @@ def test_time_rescaled_coefficients(a, frac, p):
                                 (h_frak, transformed_hamiltonian(frame, h_m))):
             for got, want in zip(batched.coeffs(ts), single.coeffs(ts)):
                 assert np.array_equal(got[:, m], want)
+
+
+_EXACT_UNITARY = np.array([[0, -1], [1, 0]])
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.int64, 0.0), (np.float64, 0.0),
+                                       (np.complex64, 1e-6), (np.complex128, 0.0)])
+def test_unitarity_defect_any_dtype(dtype, tol):
+    # the finiteness test reads values, not the bytes of the array
+    assert unitarity_defect(_EXACT_UNITARY.astype(dtype)) <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex64, np.complex128])
+def test_unitarity_defect_nan_is_inf(dtype):
+    u = _EXACT_UNITARY.astype(dtype)
+    u[0, 0] = np.nan
+    assert unitarity_defect(u) == float("inf")
