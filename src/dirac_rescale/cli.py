@@ -38,7 +38,7 @@ from .floquet import (
 )
 from .gauge import gauge_equivalence_check
 from .iontrap import IonTrapModel, WavepacketGrid, build_demo_hamiltonian, fidelity_curves
-from .rescaling import RescalingFunction, check_boundary
+from .rescaling import RescalingFunction, check_boundary, require_boundary
 
 __all__ = ["main"]
 
@@ -446,11 +446,9 @@ def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
             res = appendix_equivalence_check(model, rf, state0=(cfg["x0"], cfg["p0"]),
                                              n_steps=cfg["steps"], tol=None)
             stride = max(1, len(res.times) // cfg["n_record"])
-            rows = []
-            for j in range(0, len(res.times), stride):
-                dev = float(np.max(np.abs(res.mapped[j] - res.transformed[j])))
-                rows.append([res.times[j], res.original[j, 0], res.original[j, 1],
-                             res.transformed[j, 0], res.transformed[j, 1], dev])
+            dev = np.max(np.abs(res.mapped - res.transformed), axis=-1)
+            columns = (res.times, *res.original.T, *res.transformed.T, dev)
+            rows = list(zip(*(c[::stride].tolist() for c in columns)))
             writer.stage(f"trajectory_a{_fmt(a)}.{cfg['format']}",
                          _table_text(["t", "x", "p", "xbar", "pbar", "deviation"],
                                      rows, cfg["format"]))
@@ -461,6 +459,7 @@ def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
         rows = []
         for a in cfg["a"]:
             rf = RescalingFunction(a=a, tau=cfg["tau"])
+            require_boundary(rf)
             ts = np.linspace(0.0, rf.horizon, cfg["n_record"])
             columns = (ts, *h1h2(rf, ts, cfg["mass"]), kappa(rf, ts, cfg["mass"]),
                        *quantum_coeffs(rf, ts))

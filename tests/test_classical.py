@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dirac_rescale import classical
 from dirac_rescale.classical import (
+    ClassicalModel,
     appendix_equivalence_check,
     canonical_map,
     evolve_classical,
@@ -282,6 +286,86 @@ def test_appendix_rejects_bad_input(state0, n_steps):
     with pytest.raises(ValueError):
         appendix_equivalence_check(harmonic_model(), RescalingFunction(a=2.0, tau=1.0),
                                    state0=state0, n_steps=n_steps)
+
+
+def _stacked_reference(model, rf, state0, n_steps):
+    """The appendix check as the stacked (2, 2) state stepped by ``_rk4``:
+    row 0 the original flow, row 1 the transformed one."""
+    m, dV = model.m, model.dV
+    y0 = np.asarray(state0, dtype=float)
+    ts, h = classical._stage_times(0.0, rf.horizon, n_steps)
+    fd = rf.df(ts)
+    g = model.gamma(rf.f(ts))
+    root = np.sqrt(fd)
+    g3 = g**3
+    P = np.stack([fd / m, np.full_like(fd, 1.0 / m)], axis=-1)
+    A = np.stack([fd / g3, fd * root / g3], axis=-1)
+    B = np.stack([1.0 / g, root / g], axis=-1)
+    K = np.stack([np.zeros_like(fd), 2.0 * kappa(rf, ts, m)], axis=-1)
+
+    def rhs(j, y):
+        x, p = y[:, 0], y[:, 1]
+        out = np.empty_like(y)
+        out[:, 0] = P[j] * p
+        out[:, 1] = -(A[j] * dV(B[j] * x) + K[j] * x)
+        return out
+
+    bar0 = canonical_map(y0, rf, 0.0, m)
+    times, both = classical._rk4(rhs, np.stack([y0, bar0]), ts, h, 1)
+    orig, bar = both[:, 0], both[:, 1]
+    mapped = canonical_map(orig, rf, times, m)
+    return times, orig, bar, mapped, float(np.max(np.abs(mapped - bar)))
+
+
+def _sine_dV(u):
+    # the check must keep handing dV arrays, as ClassicalModel documents
+    assert isinstance(u, np.ndarray)
+    return np.sin(u)
+
+
+def _sine_model(tau, m):
+    return ClassicalModel(m=m, gamma=harmonic_model(tau, m).gamma,
+                          V=lambda u: -np.cos(u), dV=_sine_dV, label="sine")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    factory=st.sampled_from([harmonic_model, quartic_model, _sine_model]),
+    a=st.floats(1.0, 8.0),
+    m=st.floats(0.3, 3.0),
+    tau=st.floats(0.5, 4.0),
+    x0=st.floats(-1.5, 1.5),
+    p0=st.floats(-0.5, 0.5),
+    n_steps=st.integers(1, 600),
+)
+def test_appendix_matches_stacked_rk4_bitwise(factory, a, m, tau, x0, p0, n_steps):
+    # the float loop does the stacked _rk4 arithmetic, stage for stage
+    model, rf = factory(tau, m), RescalingFunction(a=a, tau=tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = _stacked_reference(model, rf, (x0, p0), n_steps)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                appendix_equivalence_check(model, rf, (x0, p0), n_steps, tol=None)
+            return
+        res = appendix_equivalence_check(model, rf, (x0, p0), n_steps, tol=None)
+    got = (res.times, res.original, res.transformed, res.mapped, res.max_deviation)
+    for name, w, g in zip(("times", "original", "transformed", "mapped", "max_deviation"),
+                          want, got):
+        assert np.array_equal(w, g), name
+
+
+@pytest.mark.parametrize("dV", [
+    pytest.param(lambda u: np.full_like(u, np.nan), id="nan"),
+    pytest.param(lambda u: np.exp(60.0 * u), id="blow_up"),
+])
+def test_appendix_divergence_guard(dV):
+    # a NaN or runaway force aborts the check instead of returning its trajectory
+    model = ClassicalModel(m=1.0, gamma=harmonic_model().gamma, V=lambda u: u, dV=dV)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match="trajectory diverged at t = "):
+        appendix_equivalence_check(model, RescalingFunction(a=2.0, tau=1.0),
+                                   n_steps=200, tol=None)
 
 
 def test_appendix_tolerance_signal():

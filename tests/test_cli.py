@@ -260,7 +260,6 @@ def test_non_finite_result_exit(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", [
-    ["appendix", "--mode", "coeffs", "--a", "1e300"],
     ["rescale-info", "--a", "1e300"],
 ])
 def test_non_finite_table_not_published(tmp_path, argv, fmt):
@@ -268,6 +267,18 @@ def test_non_finite_table_not_published(tmp_path, argv, fmt):
     out = tmp_path / "run"
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 3
     assert os.listdir(out) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_appendix_coeffs_overflow_is_config_error(tmp_path, capsys, fmt):
+    # a finite but huge a fails the boundary check before any coefficient
+    # is computed: exit 2, no numpy warning, nothing published
+    out = tmp_path / "run"
+    argv = ["appendix", "--mode", "coeffs", "--a", "1e300", "--format", fmt]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert os.listdir(out) == []
+    assert "boundary conditions" in capsys.readouterr().err
 
 
 def test_back_to_back_runs_match_lone_runs(tmp_path, monkeypatch):
