@@ -260,10 +260,12 @@ def test_non_finite_result_exit(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", [
+    ["rescale-info", "--a", "3", "--a", "1e300"],
     ["rescale-info", "--a", "1e300"],
 ])
 def test_non_finite_table_not_published(tmp_path, argv, fmt):
-    # a table with NaN or Infinity fails the run and leaves nothing behind
+    # a table with NaN or Infinity fails the run and leaves nothing behind,
+    # not even the finite rows of an earlier a
     out = tmp_path / "run"
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 3
     assert os.listdir(out) == []
