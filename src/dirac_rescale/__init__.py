@@ -14,7 +14,6 @@ from .propagator import (
     propagate,
     propagate_sampled,
     rescaled_propagate,
-    step_exact,
     su2_exponential,
     time_rescaled,
     unitarity_defect,

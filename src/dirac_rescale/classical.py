@@ -45,14 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassicalModel:
-    """Mass, scale factor gamma(t) > 0 and shape V(u) with derivative dV.
+    """Mass, scale factor gamma(t) > 0 and the derivative dV of the shape V(u).
 
     dV takes an array u and returns an array of the same shape.
     """
 
     m: float
     gamma: Callable
-    V: Callable
     dV: Callable
     label: str = "custom"
 
@@ -67,12 +66,12 @@ def _default_gamma(tau: float) -> Callable:
 
 def harmonic_model(tau: float = 1.0, m: float = 1.0) -> ClassicalModel:
     return ClassicalModel(m=m, gamma=_default_gamma(tau),
-                          V=lambda u: u * u, dV=lambda u: 2.0 * u, label="harmonic")
+                          dV=lambda u: 2.0 * u, label="harmonic")
 
 
 def quartic_model(tau: float = 1.0, m: float = 1.0) -> ClassicalModel:
     return ClassicalModel(m=m, gamma=_default_gamma(tau),
-                          V=lambda u: u**4, dV=lambda u: 4.0 * u**3, label="quartic")
+                          dV=lambda u: 4.0 * u**3, label="quartic")
 
 
 def h1h2(rf: RescalingFunction, t, m: float = 1.0):

@@ -225,13 +225,13 @@ def quasienergy_gap(u_f, period: float, hbar: float = 1.0) -> float:
     return float(min(d, zone - d))
 
 
-def perturbative_floquet(params: WeylModelParams, bessel_order: int = 0):
+def perturbative_floquet(params: WeylModelParams):
     """First-order pumping-cycle operator near the touching point,
 
-        I + i (2J k_x sx + 2 lambda k_y sy) * J_n(ell c) * T0/hbar ,
+        I + i (2J k_x sx + 2 lambda k_y sy) * J_0(ell c) * T0/hbar ,
 
     with k_x = k - pi/2, k_y = phi_y - pi/2 and c = V2/V1.  The Bessel order
-    defaults to 0, which is what the drive-period average of the linearized
+    is 0, which is what the drive-period average of the linearized
     coefficients produces; the prefactor T0/hbar is fixed once by matching
     the first-order term of the numeric operator (see
     :func:`calibrate_perturbative_prefactor`).
@@ -241,7 +241,7 @@ def perturbative_floquet(params: WeylModelParams, bessel_order: int = 0):
     params.phi_l  # raises if the touching angle does not exist
     kx = params.k - math.pi / 2.0
     ky = params.phi_y - math.pi / 2.0
-    amp = jv(bessel_order, params.ell * params.c_ratio) * params.T0 / params.hbar
+    amp = jv(0, params.ell * params.c_ratio) * params.T0 / params.hbar
     return IDENTITY2 + 1j * amp * (2.0 * params.J * kx * PAULI_X + 2.0 * params.lam * ky * PAULI_Y)
 
 

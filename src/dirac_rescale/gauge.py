@@ -64,7 +64,6 @@ class GaugeFrame:
     """Rotation-frame data for one rescaling: angle phi(t) with cos(2 phi) = 1/df."""
 
     rf: RescalingFunction
-    m: float = 1.0
     c: float = 1.0
     hbar: float = 1.0
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .propagator import PauliHamiltonian, evolve_states, norm_defect
+from .propagator import PauliHamiltonian, evolve_states, norm_defect, time_rescaled
 from .rescaling import RescalingFunction, require_boundary
 
 __all__ = [
@@ -132,11 +132,11 @@ class WavepacketGrid:
 
     @classmethod
     def gaussian(cls, p0: float = 0.0, sigma_p: float = 0.05,
-                 n_points: int = 129, span: float = 6.0) -> "WavepacketGrid":
-        """Gaussian packet truncated at p0 +/- span*sigma_p on a symmetric grid."""
+                 n_points: int = 129) -> "WavepacketGrid":
+        """Gaussian packet truncated at p0 +/- 6 sigma_p on a symmetric grid."""
         if n_points < 3:
             raise ValueError("need at least 3 momentum samples")
-        p = np.linspace(p0 - span * sigma_p, p0 + span * sigma_p, n_points)
+        p = np.linspace(p0 - 6.0 * sigma_p, p0 + 6.0 * sigma_p, n_points)
         dp = p[1] - p[0]
         w = np.full(n_points, dp)
         w[0] *= 0.5
@@ -193,10 +193,7 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
             stacklevel=2,
         )
 
-    h = build_demo_hamiltonian(model, grid.p)
-    from .propagator import time_rescaled
-
-    h_resc = time_rescaled(h, rf)
+    h_resc = time_rescaled(build_demo_hamiltonian(model, grid.p), rf)
     chi_i = instantaneous_eigenstate(model, grid.p, 0.0)
     chi_f = instantaneous_eigenstate(model, grid.p, model.tau)
 

@@ -55,7 +55,6 @@ __all__ = [
     "PauliHamiltonian",
     "UnitarityError",
     "su2_exponential",
-    "step_exact",
     "propagate",
     "propagate_sampled",
     "evolve_states",
@@ -77,7 +76,7 @@ _SMALL_ANGLE = 1e-14
 #: steps composed per block; fixed, so a mode's result does not depend on its batch
 _BLOCK_STEPS = 1 << 12
 
-#: largest |q|^2 - 1 accepted for a composed product (the default of propagate)
+#: largest |q|^2 - 1 accepted for a composed product
 _UNITARITY_TOL = 1e-8
 
 #: CF4 nodes (1/2 -+ sqrt(3)/6) as a column, and its weights 1/4 +- sqrt(3)/6
@@ -206,16 +205,6 @@ def su2_exponential(d0, dx, dy, dz, dt, hbar: float = 1.0):
     return _to_matrix(_su2_step(d0, dx, dy, dz, dt, hbar))
 
 
-def step_exact(h: PauliHamiltonian, t_mid, dt: float, hbar: float = 1.0):
-    """One midpoint step exp(-i H(t_mid) dt / hbar)."""
-    if not dt > 0.0:
-        raise ValueError(f"step length must be positive, got {dt}")
-    d0, dx, dy, dz = h.coeffs(t_mid)
-    if not all(np.all(np.isfinite(v)) for v in (d0, dx, dy, dz)):
-        raise ValueError(f"non-finite Hamiltonian coefficients at t = {t_mid}")
-    return su2_exponential(d0, dx, dy, dz, dt, hbar=hbar)
-
-
 def _ordered_product(steps):
     """Record of steps[:, -1] ... steps[:, 0] by pairwise reduction (fixed order).
 
@@ -268,12 +257,12 @@ def _checked_args(t0, t1, n_steps, sample_steps, order):
     return (t1 - t0) / n_steps, idx, _STEPPERS[order]
 
 
-def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, tol, order):
+def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, order):
     """Sample times and the records of U(t0 + k*dt <- t0) at each sample index k.
 
     Steps of the given order are built and composed in blocks of
     _BLOCK_STEPS from the previous sample, and each sampled record must be
-    unit to ``tol`` (NaN fails the check).
+    unit to _UNITARITY_TOL (NaN fails the check).
     """
     dt, idx, records_of = _checked_args(t0, t1, n_steps, sample_steps, order)
     u = np.zeros((5,) + np.shape(h.coeffs(t0 + 0.5 * dt)[0]))
@@ -288,16 +277,16 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, tol, order):
         w, x, y, z, phase = u
         # 0 * phase is NaN for a non-finite phase, so the check fails on it too
         defect = float(np.max(np.abs(w * w + x * x + y * y + z * z - 1.0) + 0.0 * phase))
-        if not defect <= tol:
-            raise UnitarityError(defect, tol)
+        if not defect <= _UNITARITY_TOL:
+            raise UnitarityError(defect, _UNITARITY_TOL)
         records.append(u)
     return t0 + np.asarray(idx, dtype=float) * dt, records
 
 
 def propagate(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
-              hbar: float = 1.0, unitarity_tol: float = _UNITARITY_TOL, order: int = 2):
+              hbar: float = 1.0, order: int = 2):
     """Time-ordered propagator U(t1 <- t0) from n_steps steps of the given order."""
-    _, (u,) = _sampled_records(h, t0, t1, n_steps, [n_steps], hbar, unitarity_tol, order)
+    _, (u,) = _sampled_records(h, t0, t1, n_steps, [n_steps], hbar, order)
     return _to_matrix(u)
 
 
@@ -307,16 +296,14 @@ def propagate_sampled(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
 
     Returns (times, us) with us[j] = U(t0 + sample_steps[j]*dt <- t0).
     """
-    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar,
-                                      _UNITARITY_TOL, order)
+    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, order)
     return times, np.array([_to_matrix(u) for u in records])
 
 
 def evolve_states(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
                   psi0, sample_steps: Sequence[int], hbar: float = 1.0, order: int = 2):
     """Evolve spinor batch psi0 (..., 2), recording at the given step indices."""
-    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar,
-                                      _UNITARITY_TOL, order)
+    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, order)
     return times, np.array([evolve_state(_to_matrix(u), psi0) for u in records])
 
 
@@ -332,7 +319,7 @@ def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
 
 
 def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, hbar: float = 1.0,
-                       unitarity_tol: float = _UNITARITY_TOL, order: int = 2):
+                       order: int = 2):
     """Propagate df(s)*H(f(s)) over [0, tau/a]; equals U(tau <- 0) of H exactly.
 
     The rescaling must satisfy the shortcut boundary conditions; they are
@@ -340,8 +327,7 @@ def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, hbar: float = 1.0,
     change-of-variables identity.
     """
     require_boundary(rf)
-    return propagate(time_rescaled(h, rf), 0.0, rf.horizon, n_steps,
-                     hbar=hbar, unitarity_tol=unitarity_tol, order=order)
+    return propagate(time_rescaled(h, rf), 0.0, rf.horizon, n_steps, hbar=hbar, order=order)
 
 
 def evolve_state(u, spinor):

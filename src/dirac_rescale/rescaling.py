@@ -30,6 +30,10 @@ __all__ = [
 BOUNDARY_TOL = 1e-10
 
 
+def _missing_derivative(t):
+    raise ValueError("custom rescaling does not provide d2f/d3f")
+
+
 def _as_float_or_array(x):
     arr = np.asarray(x, dtype=float)
     return float(arr) if arr.ndim == 0 else arr
@@ -96,10 +100,6 @@ class RescalingFunction:
         out = (self.a - 1.0) * w * w * np.cos(w * t)
         return _as_float_or_array(out)
 
-    def derivs(self, t):
-        """(df, d2f, d3f) evaluated at t."""
-        return self.df(t), self.d2f(t), self.d3f(t)
-
     def inverse(self, s):
         """t with f(t) = s, for s in [0, tau] (scalar or array).  Uses the monotonicity of f."""
         return _invert_monotone(self, s)
@@ -110,24 +110,20 @@ class CustomRescaling:
     """User-supplied rescaling; must pass :func:`check_boundary` before use.
 
     ``f`` and ``df`` are required and must be vectorized over t.  Higher
-    derivatives are optional; operations that need them raise if absent.
+    derivatives are optional; an operation that needs one left out raises
+    ValueError.
     """
 
     a: float
     tau: float
     f: Callable
     df: Callable
-    d2f: Callable | None = None
-    d3f: Callable | None = None
+    d2f: Callable = _missing_derivative
+    d3f: Callable = _missing_derivative
 
     @property
     def horizon(self) -> float:
         return self.tau / self.a
-
-    def derivs(self, t):
-        if self.d2f is None or self.d3f is None:
-            raise ValueError("custom rescaling does not provide d2f/d3f")
-        return self.df(t), self.d2f(t), self.d3f(t)
 
     def inverse(self, s):
         return _invert_monotone(self, s)
@@ -173,10 +169,10 @@ class BoundaryReport:
         return "\n".join(lines)
 
 
-def check_boundary(rf, tol: float = BOUNDARY_TOL, n_scan: int = 257) -> BoundaryReport:
-    """Verify f(0)=0, f(tau/a)=tau, df(0)=df(tau/a)=1 and df >= 1 on a scan grid."""
+def check_boundary(rf) -> BoundaryReport:
+    """Verify f(0)=0, f(tau/a)=tau, df(0)=df(tau/a)=1 and df >= 1 on a 257-point grid."""
     h, tau = rf.horizon, rf.tau
-    grid = np.linspace(0.0, h, n_scan)
+    grid = np.linspace(0.0, h, 257)
     df_min = float(np.min(rf.df(grid)))
     residuals = {
         "f(0)": abs(float(rf.f(0.0))),
@@ -185,8 +181,8 @@ def check_boundary(rf, tol: float = BOUNDARY_TOL, n_scan: int = 257) -> Boundary
         "df(horizon)-1": abs(float(rf.df(h)) - 1.0),
         "df_min_below_1": max(0.0, 1.0 - df_min),
     }
-    passed = all(v < tol for v in residuals.values())
-    return BoundaryReport(residuals=residuals, tol=tol, passed=passed)
+    passed = all(v < BOUNDARY_TOL for v in residuals.values())
+    return BoundaryReport(residuals=residuals, tol=BOUNDARY_TOL, passed=passed)
 
 
 def require_boundary(rf) -> None:

@@ -40,7 +40,7 @@ def test_h1h2_matches_derivatives():
     rf = RescalingFunction(a=2.0, tau=1.0)
     t, m = 0.2, 1.3
     h1, h2 = h1h2(rf, t, m)
-    fd, f2, _ = rf.derivs(t)
+    fd, f2 = rf.df(t), rf.d2f(t)
     assert h1 == pytest.approx(1.0 / np.sqrt(fd), rel=1e-14)
     assert h2 == pytest.approx(m * f2 / (4.0 * fd**2), rel=1e-14)
 
@@ -117,7 +117,7 @@ def test_cross_term_cancels():
     step = 1e-6
     for t in rng.uniform(5 * step, rf.horizon - 5 * step, size=100):
         h1, h2 = h1h2(rf, t, m)
-        fd, f2, _ = rf.derivs(t)
+        fd, f2 = rf.df(t), rf.d2f(t)
         dh1 = -f2 / (2.0 * fd**1.5)
         cross = 4.0 * h2 * fd / (2.0 * m) + dh1 / h1
         assert abs(cross) <= 1e-10
@@ -141,7 +141,7 @@ def test_quantum_coeffs_trivial_and_boundary():
 def test_quantum_coeffs_match_derivatives():
     rf = RescalingFunction(a=2.0, tau=1.0)
     t = 0.13
-    fd, f2, f3 = rf.derivs(t)
+    fd, f2, f3 = rf.df(t), rf.d2f(t), rf.d3f(t)
     alpha, beta, kq = quantum_coeffs(rf, t)
     assert alpha == pytest.approx(f2 / fd, rel=1e-14)
     assert beta == pytest.approx(np.log(fd), rel=1e-14)
@@ -325,7 +325,7 @@ def _sine_dV(u):
 
 def _sine_model(tau, m):
     return ClassicalModel(m=m, gamma=harmonic_model(tau, m).gamma,
-                          V=lambda u: -np.cos(u), dV=_sine_dV, label="sine")
+                          dV=_sine_dV, label="sine")
 
 
 @settings(max_examples=40, deadline=None)
@@ -361,7 +361,7 @@ def test_appendix_matches_stacked_rk4_bitwise(factory, a, m, tau, x0, p0, n_step
 ])
 def test_appendix_divergence_guard(dV):
     # a NaN or runaway force aborts the check instead of returning its trajectory
-    model = ClassicalModel(m=1.0, gamma=harmonic_model().gamma, V=lambda u: u, dV=dV)
+    model = ClassicalModel(m=1.0, gamma=harmonic_model().gamma, dV=dV)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(RuntimeError, match="trajectory diverged at t = "):
         appendix_equivalence_check(model, RescalingFunction(a=2.0, tau=1.0),

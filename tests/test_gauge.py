@@ -109,7 +109,7 @@ def test_inertial_term_is_phi_derivative():
 
 def test_transformed_recovers_original_at_a1():
     rf = RescalingFunction(a=1.0, tau=1.0)
-    frame = GaugeFrame(rf=rf, m=1.3, c=0.9)
+    frame = GaugeFrame(rf=rf, c=0.9)
     A = lambda t: 0.2 * np.asarray(t)
     model = dirac_model(0.5, m=1.3, c=0.9, vector_potential=A)
     h = transformed_hamiltonian(frame, model)
@@ -123,7 +123,7 @@ def test_transformed_recovers_original_at_a1():
 def test_transformed_pseudoscalar_coefficient():
     # df = 2 at t = tau/8 for a = 2: dy = m c^2 sqrt(3)
     rf = RescalingFunction(a=2.0, tau=1.0)
-    frame = GaugeFrame(rf=rf, m=1.0, c=1.0)
+    frame = GaugeFrame(rf=rf, c=1.0)
     h = transformed_hamiltonian(frame, dirac_model(0.0))
     _, _, dy, dz = h.coeffs(0.125)
     assert dy == pytest.approx(np.sqrt(3.0), abs=1e-12)
@@ -141,7 +141,7 @@ def test_rest_energy_constant_identity():
 
 def test_transformed_dz_constant_over_window():
     rf = RescalingFunction(a=2.0, tau=1.0)
-    h = transformed_hamiltonian(GaugeFrame(rf=rf, m=0.8, c=1.1), dirac_model(0.3, m=0.8, c=1.1))
+    h = transformed_hamiltonian(GaugeFrame(rf=rf, c=1.1), dirac_model(0.3, m=0.8, c=1.1))
     ts = np.linspace(0.0, rf.horizon, 57)
     dz = h.coeffs(ts)[3]
     assert np.max(np.abs(dz - 0.8 * 1.1**2)) <= 1e-12

