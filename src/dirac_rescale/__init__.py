@@ -21,7 +21,6 @@ from .propagator import (
 from .gauge import (
     GaugeFrame,
     K_matrix,
-    ToleranceError,
     frak_vector_potential,
     frame_unitary,
     gauge_equivalence_check,

@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from .gauge import ToleranceError
 from .rescaling import RescalingFunction, require_boundary
 
 __all__ = [
@@ -224,15 +223,14 @@ class AppendixCheckResult:
 
 
 def appendix_equivalence_check(model: ClassicalModel, rf: RescalingFunction,
-                               state0=(1.0, 0.0), n_steps: int = 4000,
-                               tol: float | None = 1e-5) -> AppendixCheckResult:
-    """Verify that the canonical map carries one flow onto the other.
+                               state0=(1.0, 0.0), n_steps: int = 4000) -> AppendixCheckResult:
+    """Measure how closely the canonical map carries one flow onto the other.
 
     (x, p) evolves under df*[p^2/2m + V(x/gamma(f))/gamma(f)^2]; (xbar, pbar)
     under pbar^2/2m + df*V(xbar sqrt(df)/gamma(f))/gamma(f)^2 + kappa xbar^2,
     from the mapped initial condition.  The two flows, stepped side by side
-    but uncoupled, act as mutual oracle; raises :class:`ToleranceError`
-    above ``tol``.
+    but uncoupled, act as mutual oracle; the result carries their largest
+    deviation.
     """
     require_boundary(rf)
     m, dV = model.m, model.dV
@@ -287,9 +285,5 @@ def appendix_equivalence_check(model: ClassicalModel, rf: RescalingFunction,
     both = traj.reshape(n_steps + 1, 2, 2)
     orig, bar = both[:, 0], both[:, 1]
     mapped = canonical_map(orig, rf, times, m)
-    deviation = float(np.max(np.abs(mapped - bar)))
-    result = AppendixCheckResult(times=times, original=orig, transformed=bar,
-                                 mapped=mapped, max_deviation=deviation)
-    if tol is not None and deviation > tol:
-        raise ToleranceError(deviation, tol, what="canonical-map trajectory equivalence")
-    return result
+    return AppendixCheckResult(times=times, original=orig, transformed=bar, mapped=mapped,
+                               max_deviation=float(np.max(np.abs(mapped - bar))))

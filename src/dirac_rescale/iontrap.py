@@ -136,15 +136,19 @@ class WavepacketGrid:
         """Gaussian packet truncated at p0 +/- 6 sigma_p on a symmetric grid."""
         if n_points < 3:
             raise ValueError("need at least 3 momentum samples")
-        p = np.linspace(p0 - 6.0 * sigma_p, p0 + 6.0 * sigma_p, n_points)
-        dp = p[1] - p[0]
-        w = np.full(n_points, dp)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        g = np.exp(-((p - p0) ** 2) / (4.0 * sigma_p**2)).astype(complex)
-        total = float(np.sum(w * np.abs(g) ** 2))
-        if total < 1e-12:
-            raise ValueError("envelope weight underflow; packet too narrow for the grid")
+        # a packet too wide or too narrow for float range leaves NaN or 0 in
+        # ``total`` (float64 powers overflow to inf where Python floats raise)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            p = np.linspace(p0 - 6.0 * sigma_p, p0 + 6.0 * sigma_p, n_points)
+            dp = p[1] - p[0]
+            w = np.full(n_points, dp)
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            g = np.exp(-((p - p0) ** 2) / (4.0 * np.float64(sigma_p) ** 2)).astype(complex)
+            total = float(np.sum(w * np.abs(g) ** 2))
+        if not total >= 1e-12:
+            raise ValueError(f"p0 = {p0!r}, sigma_p = {sigma_p!r} give no normalisable "
+                             f"packet (envelope weight {total!r})")
         g /= np.sqrt(total)
         return cls(p=p, weights=w, envelope=g)
 

@@ -8,18 +8,19 @@ on the Pauli basis,
 all from a single evaluation at t (a float array of any shape).  Each
 returned value may be a scalar or an array that broadcasts to
 t.shape + batch: momentum-mode axes trail the time axes, so a per-mode
-value carries t's axes first (e.g. built from ``t[..., None]``).  One step
-of length dt is the closed-form exponential
+value carries t's axes first (e.g. built from ``t[..., None]``).  Units
+have hbar = 1 throughout the library; laboratory knobs, hbar among them,
+enter only through :func:`~dirac_rescale.iontrap.physical_units_map`.  One
+step of length dt is the closed-form exponential
 
-    exp(-i H dt / hbar) = e^{-i d0 dt/hbar} [cos(|d| dt/hbar) I
-                          - i sin(|d| dt/hbar) (d/|d|).sigma] ,
+    exp(-i H dt) = e^{-i d0 dt} [cos(|d| dt) I - i sin(|d| dt) (d/|d|).sigma] ,
 
 Two steppers compose such exponentials, chosen by ``order``: the midpoint
 rule (order 2, the default) takes one exponential of H at the step
 midpoint; the commutator-free fourth-order Magnus step (order 4, CF4;
 Blanes & Moan 2006, Alvermann & Fehske 2011) takes two,
 
-    exp(-i dt (a2 H1 + a1 H2)/hbar) exp(-i dt (a1 H1 + a2 H2)/hbar) ,
+    exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)) ,
 
 with H1, H2 at the Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) dt and
 a1, a2 = 1/4 +- sqrt(3)/6.  Either product is exactly unitary per step,
@@ -28,7 +29,7 @@ time-rescaled form df(s) * H(f(s)) is again one such callable, evaluating
 f and df once per call.
 
 Inside the module a step is held as a real unit quaternion
-(cos x, sin x d/|d|), x = |d| dt/hbar, plus the scalar phase d0 dt/hbar.
+(cos x, sin x d/|d|), x = |d| dt, plus the scalar phase d0 dt.
 Steps are composed with the Hamilton product in plain real arithmetic (the
 phases add), by a fixed-order pairwise reduction over blocks of a fixed
 number of steps, so a mode's result is bitwise the same alone or inside
@@ -70,7 +71,7 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: |d|*dt/hbar below which the sin/cos Taylor branch is used
+#: |d|*dt below which the sin/cos Taylor branch is used
 _SMALL_ANGLE = 1e-14
 
 #: steps composed per block; fixed, so a mode's result does not depend on its batch
@@ -137,8 +138,8 @@ class PauliHamiltonian:
         return out
 
 
-def _su2_step(d0, dx, dy, dz, dt, hbar):
-    """Records (cos x, sin(x) d/|d|, d0 dt/hbar) of steps, x = |d| dt/hbar.
+def _su2_step(d0, dx, dy, dz, dt):
+    """Records (cos x, sin(x) d/|d|, d0 dt) of steps, x = |d| dt.
 
     A record is a real array with the five components (w, vx, vy, vz, phase)
     on axis 0: the unit quaternion w - i v.sigma and the scalar phase of
@@ -150,18 +151,18 @@ def _su2_step(d0, dx, dy, dz, dt, hbar):
     out = np.empty((5,) + dx.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         nd = np.sqrt(dx * dx + dy * dy + dz * dz)
-        x = nd * dt / hbar
+        x = nd * dt
         out[0] = np.cos(x)
         sin_over_d = np.sin(x) / nd
         small = x < _SMALL_ANGLE
         if np.any(small):
-            # sin(x)/|d| == (dt/hbar) sinc(x); Taylor branch avoids 0/0 at |d| -> 0
+            # sin(x)/|d| == dt sinc(x); Taylor branch avoids 0/0 at |d| -> 0
             np.copyto(out[0, ...], 1.0 - 0.5 * x * x, where=small)
-            sin_over_d = np.where(small, (dt / hbar) * (1.0 - x * x / 6.0), sin_over_d)
+            sin_over_d = np.where(small, dt * (1.0 - x * x / 6.0), sin_over_d)
         np.multiply(sin_over_d, dx, out=out[1, ...])
         np.multiply(sin_over_d, dy, out=out[2, ...])
         np.multiply(sin_over_d, dz, out=out[3, ...])
-        out[4] = d0 * dt / hbar
+        out[4] = d0 * dt
     return out
 
 
@@ -200,9 +201,9 @@ def _to_matrix(u):
     return out
 
 
-def su2_exponential(d0, dx, dy, dz, dt, hbar: float = 1.0):
-    """exp(-i (d0*I + d.sigma) dt / hbar) in closed form, elementwise."""
-    return _to_matrix(_su2_step(d0, dx, dy, dz, dt, hbar))
+def su2_exponential(d0, dx, dy, dz, dt):
+    """exp(-i (d0*I + d.sigma) dt) in closed form, elementwise."""
+    return _to_matrix(_su2_step(d0, dx, dy, dz, dt))
 
 
 def _ordered_product(steps):
@@ -220,13 +221,13 @@ def _ordered_product(steps):
     return steps[:, 0]
 
 
-def _midpoint_records(h, t0, dt, lo, hi, hbar):
+def _midpoint_records(h, t0, dt, lo, hi):
     """Records (5, hi - lo, *batch) of midpoint steps lo .. hi - 1."""
     ts = t0 + (np.arange(lo, hi, dtype=float) + 0.5) * dt
-    return _su2_step(*h.coeffs(ts), dt, hbar)
+    return _su2_step(*h.coeffs(ts), dt)
 
 
-def _cf4_records(h, t0, dt, lo, hi, hbar):
+def _cf4_records(h, t0, dt, lo, hi):
     """Records (5, hi - lo, *batch) of CF4 steps lo .. hi - 1.
 
     One coefficient call on the (2, n) grid of both nodes; each step is the
@@ -234,8 +235,8 @@ def _cf4_records(h, t0, dt, lo, hi, hbar):
     """
     ts = t0 + (np.arange(lo, hi, dtype=float) + _CF4_NODES) * dt
     coeffs = h.coeffs(ts)
-    first = _su2_step(*(_CF4_A1 * c[0] + _CF4_A2 * c[1] for c in coeffs), dt, hbar)
-    second = _su2_step(*(_CF4_A2 * c[0] + _CF4_A1 * c[1] for c in coeffs), dt, hbar)
+    first = _su2_step(*(_CF4_A1 * c[0] + _CF4_A2 * c[1] for c in coeffs), dt)
+    second = _su2_step(*(_CF4_A2 * c[0] + _CF4_A1 * c[1] for c in coeffs), dt)
     return _compose(second, first)
 
 
@@ -257,7 +258,7 @@ def _checked_args(t0, t1, n_steps, sample_steps, order):
     return (t1 - t0) / n_steps, idx, _STEPPERS[order]
 
 
-def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, order):
+def _sampled_records(h, t0, t1, n_steps, sample_steps, order):
     """Sample times and the records of U(t0 + k*dt <- t0) at each sample index k.
 
     Steps of the given order are built and composed in blocks of
@@ -271,7 +272,7 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, order):
     prev = 0
     for k in idx:
         for lo in range(prev, k, _BLOCK_STEPS):
-            steps = records_of(h, t0, dt, lo, min(lo + _BLOCK_STEPS, k), hbar)
+            steps = records_of(h, t0, dt, lo, min(lo + _BLOCK_STEPS, k))
             u = _compose(_ordered_product(steps), u)
         prev = k
         w, x, y, z, phase = u
@@ -283,27 +284,26 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, order):
     return t0 + np.asarray(idx, dtype=float) * dt, records
 
 
-def propagate(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
-              hbar: float = 1.0, order: int = 2):
+def propagate(h: PauliHamiltonian, t0: float, t1: float, n_steps: int, order: int = 2):
     """Time-ordered propagator U(t1 <- t0) from n_steps steps of the given order."""
-    _, (u,) = _sampled_records(h, t0, t1, n_steps, [n_steps], hbar, order)
+    _, (u,) = _sampled_records(h, t0, t1, n_steps, [n_steps], order)
     return _to_matrix(u)
 
 
 def propagate_sampled(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
-                      sample_steps: Sequence[int], hbar: float = 1.0, order: int = 2):
+                      sample_steps: Sequence[int], order: int = 2):
     """Cumulative propagators U(t_k <- t0) at the given step indices.
 
     Returns (times, us) with us[j] = U(t0 + sample_steps[j]*dt <- t0).
     """
-    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, order)
+    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, order)
     return times, np.array([_to_matrix(u) for u in records])
 
 
 def evolve_states(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
-                  psi0, sample_steps: Sequence[int], hbar: float = 1.0, order: int = 2):
+                  psi0, sample_steps: Sequence[int], order: int = 2):
     """Evolve spinor batch psi0 (..., 2), recording at the given step indices."""
-    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, hbar, order)
+    times, records = _sampled_records(h, t0, t1, n_steps, sample_steps, order)
     return times, np.array([evolve_state(_to_matrix(u), psi0) for u in records])
 
 
@@ -318,8 +318,7 @@ def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
     return PauliHamiltonian(terms)
 
 
-def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, hbar: float = 1.0,
-                       order: int = 2):
+def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, order: int = 2):
     """Propagate df(s)*H(f(s)) over [0, tau/a]; equals U(tau <- 0) of H exactly.
 
     The rescaling must satisfy the shortcut boundary conditions; they are
@@ -327,7 +326,7 @@ def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, hbar: float = 1.0,
     change-of-variables identity.
     """
     require_boundary(rf)
-    return propagate(time_rescaled(h, rf), 0.0, rf.horizon, n_steps, hbar=hbar, order=order)
+    return propagate(time_rescaled(h, rf), 0.0, rf.horizon, n_steps, order=order)
 
 
 def evolve_state(u, spinor):

@@ -69,9 +69,11 @@ class RescalingFunction:
     def _check_domain(self, t):
         t = np.asarray(t, dtype=float)
         slack = 1e-9 * self.horizon
-        if np.any(t < -slack) or np.any(t > self.horizon + slack):
+        below, above = t < -slack, t > self.horizon + slack
+        if np.any(below) or np.any(above):
+            worst = float(np.min(t[below]) if np.any(below) else np.max(t[above]))
             raise ValueError(
-                f"time {t!r} outside the rescaling domain [0, {self.horizon}]"
+                f"time {worst!r} outside the rescaling domain [0, {self.horizon}]"
             )
         return np.clip(t, 0.0, self.horizon)
 

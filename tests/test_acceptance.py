@@ -162,7 +162,7 @@ def test_criterion_4_gauge_equivalence():
         rf = RescalingFunction(a=a, tau=TAU)
         res = gauge_equivalence_check(
             lambda p: build_demo_hamiltonian(model, p), rf,
-            [-1.0, 0.0, 1.0], n_steps=4000, tol=None,
+            [-1.0, 0.0, 1.0], n_steps=4000,
         )
         worst = max(worst, res.max_deviation)
 
@@ -197,7 +197,7 @@ def test_criterion_5_floquet_identities():
     equiv_worst = 0.0
     for a in (2.0, 4.0):
         rf = RescalingFunction(a=a, tau=p_gen.T0)
-        equiv_worst = max(equiv_worst, rescaled_floquet_equivalence(h_pump, rf, 150000, tol=None))
+        equiv_worst = max(equiv_worst, rescaled_floquet_equivalence(h_pump, rf, 150000))
 
     # stroboscopic factorization U(nT) = U_F(T)^n
     p_strobe = WeylModelParams(J=0.1, lam=0.08, V1=0.5, V2=0.3, Omega=2 * math.pi,
@@ -248,10 +248,10 @@ def test_criterion_6_appendix_equivalence():
     devs = {}
     for factory in (harmonic_model, quartic_model):
         model = factory(tau=TAU)
-        devs[model.label] = appendix_equivalence_check(model, rf2, n_steps=4000, tol=None).max_deviation
+        devs[model.label] = appendix_equivalence_check(model, rf2, n_steps=4000).max_deviation
 
     ns = np.array([250, 500, 1000])
-    conv = [appendix_equivalence_check(quartic_model(tau=TAU), rf2, n_steps=int(n), tol=None).max_deviation
+    conv = [appendix_equivalence_check(quartic_model(tau=TAU), rf2, n_steps=int(n)).max_deviation
             for n in ns]
     slope = float(-np.polyfit(np.log(ns), np.log(conv), 1)[0])
 

@@ -18,7 +18,6 @@ from dirac_rescale.classical import (
     quantum_coeffs,
     quartic_model,
 )
-from dirac_rescale.gauge import ToleranceError
 from dirac_rescale.rescaling import RescalingFunction
 
 
@@ -254,7 +253,7 @@ def test_appendix_equivalence_fourth_order():
     devs = []
     ns = np.array([250, 500, 1000])
     for n in ns:
-        res = appendix_equivalence_check(quartic_model(), rf, n_steps=int(n), tol=None)
+        res = appendix_equivalence_check(quartic_model(), rf, n_steps=int(n))
         devs.append(res.max_deviation)
     slope = -np.polyfit(np.log(ns), np.log(devs), 1)[0]
     assert 3.8 <= slope <= 4.2
@@ -271,7 +270,7 @@ def test_appendix_equivalence_fourth_order():
 def test_appendix_check_deterministic(factory, a, x0, p0, n_steps):
     rf = RescalingFunction(a=a, tau=1.0)
     first, second = (appendix_equivalence_check(factory(), rf, state0=(x0, p0),
-                                                n_steps=n_steps, tol=None) for _ in range(2))
+                                                n_steps=n_steps) for _ in range(2))
     for name in ("times", "original", "transformed", "mapped"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
     assert first.max_deviation == second.max_deviation
@@ -346,9 +345,9 @@ def test_appendix_matches_stacked_rk4_bitwise(factory, a, m, tau, x0, p0, n_step
             want = _stacked_reference(model, rf, (x0, p0), n_steps)
         except RuntimeError as exc:
             with pytest.raises(RuntimeError, match=re.escape(str(exc))):
-                appendix_equivalence_check(model, rf, (x0, p0), n_steps, tol=None)
+                appendix_equivalence_check(model, rf, (x0, p0), n_steps)
             return
-        res = appendix_equivalence_check(model, rf, (x0, p0), n_steps, tol=None)
+        res = appendix_equivalence_check(model, rf, (x0, p0), n_steps)
     got = (res.times, res.original, res.transformed, res.mapped, res.max_deviation)
     for name, w, g in zip(("times", "original", "transformed", "mapped", "max_deviation"),
                           want, got):
@@ -365,13 +364,7 @@ def test_appendix_divergence_guard(dV):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(RuntimeError, match="trajectory diverged at t = "):
         appendix_equivalence_check(model, RescalingFunction(a=2.0, tau=1.0),
-                                   n_steps=200, tol=None)
-
-
-def test_appendix_tolerance_signal():
-    with pytest.raises(ToleranceError):
-        appendix_equivalence_check(quartic_model(), RescalingFunction(a=2.0, tau=1.0),
-                                   n_steps=4000, tol=1e-30)
+                                   n_steps=200)
 
 
 def test_a1_collapses_all_coefficients():

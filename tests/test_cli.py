@@ -97,6 +97,19 @@ def test_gauge_check_tolerance_exit(tmp_path):
     assert summary["passed"] is False
 
 
+@pytest.mark.parametrize("argv,check", [
+    (["floquet", "--equivalence", "--steps", "200"], "floquet_equivalence"),
+    (["appendix", "--steps", "200"], "trajectory_equivalence"),
+])
+def test_check_tolerance_exit(tmp_path, argv, check):
+    # the library returns each check's deviation; the CLI judges it against --tol
+    out = tmp_path / "run"
+    assert main([*argv, "--tol", "1e-30", "--out", str(out)]) == 3
+    summary = json.loads(read(out / "summary.json"))
+    assert summary["passed"] is False
+    assert summary["checks"][check]["passed"] is False
+
+
 def test_floquet_scan_table(tmp_path):
     out = tmp_path / "run"
     code = main(["floquet", "--scan", "phi_z", "--scan-points", "5",
@@ -248,7 +261,6 @@ def test_vectorised_tables_match_scalar_rows(tmp_path, argv, table):
         assert values == want
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_exit(tmp_path):
     # a finite but huge a overflows df_max = 2a - 1; nothing may be published
     out = tmp_path / "run"
@@ -257,7 +269,6 @@ def test_non_finite_result_exit(tmp_path):
     assert os.listdir(out) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", [
     ["rescale-info", "--a", "3", "--a", "1e300"],
@@ -269,6 +280,24 @@ def test_non_finite_table_not_published(tmp_path, argv, fmt):
     out = tmp_path / "run"
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 3
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    ("iontrap --sigma-p 1e160", 2, "error: p0 = 0.0, sigma_p = 1e+160"),
+    ("iontrap --sigma-p 1e-300", 2, "error: p0 = 0.0, sigma_p = 1e-300"),
+    ("rescale-info --a 1e300", 3, "check failed: non-finite"),
+    ("rescale-info --a 1e200", 3, "check failed: non-finite"),
+    ("appendix --x0 1e200", 3, "check failed: trajectory diverged"),
+    ("appendix --tau 1e-300", 3, "check failed: trajectory diverged"),
+])
+def test_out_of_range_input_fails_without_numpy_warning(tmp_path, capsys, argv, code, err):
+    # a finite input whose arithmetic leaves float range fails with one line
+    # on stderr and publishes nothing; numpy does not warn on the way
+    out = tmp_path / "run"
+    assert main([*argv.split(), "--out", str(out)]) == code
+    assert os.listdir(out) == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(err)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -25,7 +25,6 @@ from dirac_rescale.floquet import (
     rescaled_floquet_equivalence,
     scan_quasienergies,
 )
-from dirac_rescale.gauge import ToleranceError
 from dirac_rescale.propagator import IDENTITY2, PauliHamiltonian, propagate
 from dirac_rescale.rescaling import RescalingFunction
 
@@ -207,7 +206,7 @@ def test_drive_average_is_bessel_j0():
 def test_perturbative_prefactor_calibration():
     p = params(k=math.pi / 2 + 0.01, phi_y=math.pi / 2 - 0.008)
     pref = calibrate_perturbative_prefactor(p, n_steps=20000)
-    assert pref == pytest.approx(p.T0 / p.hbar, rel=1e-4)
+    assert pref == pytest.approx(p.T0, rel=1e-4)
 
 
 def test_perturbative_error_scales_quadratically():
@@ -267,22 +266,14 @@ def test_rescaled_equivalence_near_touching_a2():
     p = params(k=math.pi / 2 + 0.01, phi_y=math.pi / 2 - 0.008)
     h = linearized_h_near_touching(params(k=p.k, phi_y=p.phi_y, phi_z=p.phi_l + 0.005))
     rf = RescalingFunction(a=2.0, tau=p.T0)
-    assert rescaled_floquet_equivalence(h, rf, 120000, tol=1e-6) < 1e-8
+    assert rescaled_floquet_equivalence(h, rf, 120000) < 1e-8
 
 
 def test_rescaled_equivalence_generic_a4():
     p = params(J=0.2, lam=0.15, V1=0.5, V2=0.25, k=1.1, phi_y=0.8, phi_z=0.5)
     h = build_pumping_h(p)
     rf = RescalingFunction(a=4.0, tau=p.T0)
-    assert rescaled_floquet_equivalence(h, rf, 120000, tol=1e-6) < 1e-8
-
-
-def test_rescaled_equivalence_tolerance_signal():
-    p = params(k=1.1, phi_y=0.8, phi_z=0.5)
-    h = build_pumping_h(p)
-    rf = RescalingFunction(a=2.0, tau=p.T0)
-    with pytest.raises(ToleranceError):
-        rescaled_floquet_equivalence(h, rf, 500, tol=1e-12)
+    assert rescaled_floquet_equivalence(h, rf, 120000) < 1e-8
 
 
 def test_quasimomenta_wrapped_to_zone():
@@ -304,7 +295,7 @@ def test_order_4_equivalence_and_quasienergies():
     p = params(V1=0.5, V2=0.25, k=1.1, phi_y=0.8, phi_z=0.5, phi_y0=0.8, phi_z0=0.5)
     h = build_pumping_h(p)
     rf = RescalingFunction(a=2.0, tau=p.T0)
-    devs = [rescaled_floquet_equivalence(h, rf, n, tol=None, order=4) for n in (1000, 2000, 4000)]
+    devs = [rescaled_floquet_equivalence(h, rf, n, order=4) for n in (1000, 2000, 4000)]
     assert all(14.0 < x / y < 18.0 for x, y in zip(devs, devs[1:]))
     assert devs[-1] < 1e-9
     hs = build_single_mode_h(p)

@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from dirac_rescale.gauge import (
     GaugeFrame,
     K_matrix,
-    ToleranceError,
     frak_vector_potential,
     frame_unitary,
     gauge_equivalence_check,
@@ -182,11 +181,6 @@ def test_gauge_equivalence_a4_momentum_sweep():
     assert res.max_deviation <= 1e-6
 
 
-def test_gauge_equivalence_tolerance_error():
-    with pytest.raises(ToleranceError):
-        gauge_equivalence_check(demo_builder(), RescalingFunction(a=2.0, tau=1.0), [0.3], n_steps=4000, tol=1e-30)
-
-
 def test_phi_domain_error():
     frame = GaugeFrame(rf=RescalingFunction(a=2.0, tau=1.0))
     with pytest.raises(ValueError):
@@ -200,7 +194,7 @@ def test_gauge_check_order_4():
 
     def run(order):
         return gauge_equivalence_check(lambda p: build_demo_hamiltonian(model, p), rf,
-                                       [-1.0, 0.0, 1.0], n_steps=512, tol=None,
+                                       [-1.0, 0.0, 1.0], n_steps=512,
                                        order=order).max_deviation
 
     assert run(4) < 1e-10 < 1e-7 < run(2)
@@ -236,7 +230,7 @@ def test_gauge_check_batch_matches_single_momenta_bitwise(p, a, n_steps, order):
 
     def run(ps):
         return gauge_equivalence_check(demo_builder(), rf, ps, n_steps=n_steps,
-                                       n_check=n_check, tol=None, order=order)
+                                       n_check=n_check, order=order)
 
     batch = run(p)
     singles = [run([v]) for v in p]
@@ -259,6 +253,6 @@ def test_gauge_check_rejects_bad_sample_count(n_steps, n_check):
 @pytest.mark.parametrize("n_steps,n_check", [(4, 5), (1, 2), (4, 1)])
 def test_gauge_check_accepts_one_sample_per_step(n_steps, n_check):
     res = gauge_equivalence_check(demo_builder(), RescalingFunction(a=2.0, tau=1.0), [0.3],
-                                  n_steps=n_steps, n_check=n_check, tol=None)
+                                  n_steps=n_steps, n_check=n_check)
     assert res.sample_times.size == len(set(res.sample_times)) == n_check
     assert res.sample_times[-1] == pytest.approx(0.5)

@@ -108,6 +108,14 @@ def test_gaussian_grid_normalized_and_symmetric():
     assert grid.p.size == 129
 
 
+@pytest.mark.parametrize("sigma_p", [1e308, 1e160, 1e-300])
+def test_gaussian_width_out_of_float_range(sigma_p):
+    # 6 sigma_p or sigma_p**2 leaves float range: a ValueError, with no
+    # OverflowError or numpy warning
+    with pytest.raises(ValueError, match="no normalisable packet"):
+        WavepacketGrid.gaussian(sigma_p=sigma_p)
+
+
 def test_fidelity_starts_at_one_both_modes():
     model = IonTrapModel(tau=1.0)
     rf = RescalingFunction(a=2.0, tau=1.0)
@@ -182,7 +190,7 @@ def test_degenerate_grid_mode_warning():
 def test_norm_guard_catches_nan(monkeypatch):
     import dirac_rescale.iontrap as iontrap
 
-    def nan_states(h, t0, t1, n_steps, psi0, sample, hbar=1.0, order=2):
+    def nan_states(h, t0, t1, n_steps, psi0, sample, order=2):
         return np.zeros(len(sample)), np.full((len(sample),) + np.shape(psi0), np.nan, dtype=complex)
 
     monkeypatch.setattr(iontrap, "evolve_states", nan_states)

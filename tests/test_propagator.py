@@ -78,17 +78,16 @@ def test_step_rejects_bad_input():
     d=hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)),
     log_scale=st.floats(-22.0, 4.0),
     dt=st.floats(1e-3, 10.0),
-    hbar=st.sampled_from([1.0, 0.37]),
 )
-@example(d=np.array([0.3, 1.0, 0.0, 1.0]), log_scale=-20.0, dt=0.1, hbar=1.0)
-@example(d=np.array([-0.5, 0.8, -0.6, 0.1]), log_scale=4.0, dt=10.0, hbar=1.0)
-def test_step_unitary_and_matches_expm(d, log_scale, dt, hbar):
-    # |d| dt / hbar spans the Taylor branch (< 1e-14) up to ~1e5
+@example(d=np.array([0.3, 1.0, 0.0, 1.0]), log_scale=-20.0, dt=0.1)
+@example(d=np.array([-0.5, 0.8, -0.6, 0.1]), log_scale=4.0, dt=10.0)
+def test_step_unitary_and_matches_expm(d, log_scale, dt):
+    # |d| dt spans the Taylor branch (< 1e-14) up to ~2e5
     d0, dx, dy, dz = d * 10.0**log_scale
-    u = su2_exponential(d0, dx, dy, dz, dt, hbar=hbar)
+    u = su2_exponential(d0, dx, dy, dz, dt)
     assert unitarity_defect(u) <= 1e-14
-    reference = expm(-1j * (d0 * IDENTITY2 + dx * PAULI_X + dy * PAULI_Y + dz * PAULI_Z) * dt / hbar)
-    angle = (abs(d0) + np.sqrt(dx * dx + dy * dy + dz * dz)) * dt / hbar
+    reference = expm(-1j * (d0 * IDENTITY2 + dx * PAULI_X + dy * PAULI_Y + dz * PAULI_Z) * dt)
+    angle = (abs(d0) + np.sqrt(dx * dx + dy * dy + dz * dz)) * dt
     assert np.max(np.abs(u - reference)) <= 1e-12 * max(1.0, angle)
 
 

@@ -134,6 +134,16 @@ def test_domain_errors():
         RescalingFunction.identity(tau=0.0)
 
 
+@pytest.mark.parametrize("lo,hi,worst", [(0.0, 0.8, "0.8"), (-0.3, 0.2, "-0.3")])
+def test_domain_error_names_the_worst_time(lo, hi, worst):
+    # the message names the time furthest out, not the whole array
+    with pytest.raises(ValueError) as exc:
+        RescalingFunction(a=2.0, tau=1.0).df(np.linspace(lo, hi, 1000))
+    msg = str(exc.value)
+    assert len(msg) < 80
+    assert f"time {worst} " in msg and "[0, 0.5]" in msg
+
+
 def test_check_boundary_passes_for_family():
     assert check_boundary(RescalingFunction(a=1.0, tau=1.0)).passed
     report = check_boundary(RescalingFunction(a=4.0, tau=2.0))
