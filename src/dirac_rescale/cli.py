@@ -1,18 +1,20 @@
 """Experiment runner: wires flags/config files to the library and writes artifacts.
 
 Every run produces a versioned JSON summary (echoing the fully resolved
-configuration) plus plot-ready tables.  Output is deterministic: no RNG,
-fixed-order reductions and 17-significant-digit float formatting, so
-repeated runs are byte-identical.
+configuration) plus plot-ready tables.  A runner only computes; ``main``
+writes the whole artifact set once the run has finished, or none of it.
+Output is deterministic: no RNG, fixed-order reductions and
+17-significant-digit float formatting, so repeated runs are byte-identical.
 
 Exit codes: 0 ok, 2 configuration error (including any non-finite value),
 3 a built-in check exceeded its tolerance or a result is not finite, 4 I/O
-failure.
+failure (which leaves none of the run's files).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -62,7 +64,7 @@ def _fmt(x) -> str:
 #: fourth-order Magnus step (CF4, see dirac_rescale.propagator)
 ORDER = 4
 
-_COMMON = {"tau": 1.0, "out": ".", "format": "csv", "config": None}
+_COMMON = {"out": ".", "format": "csv", "config": None}
 
 #: every config key of each subcommand; each is also the flag --key-with-dashes,
 #: whose kind follows the type of the default (see _build_parser).  The
@@ -72,6 +74,7 @@ _COMMON = {"tau": 1.0, "out": ".", "format": "csv", "config": None}
 DEFAULTS = {
     "iontrap": {
         **_COMMON,
+        "tau": 1.0,
         # a multiple of n_times - 1, so the samples fall on equally spaced steps
         "steps": 256,
         "a": [1.0],
@@ -83,6 +86,7 @@ DEFAULTS = {
     },
     "gauge-check": {
         **_COMMON,
+        "tau": 1.0,
         # a multiple of n_check - 1
         "steps": 512,
         "a": [2.0],
@@ -119,6 +123,7 @@ DEFAULTS = {
     },
     "appendix": {
         **_COMMON,
+        "tau": 1.0,
         "steps": 4000,
         "a": [2.0],
         "mode": "classical",
@@ -131,6 +136,7 @@ DEFAULTS = {
     },
     "rescale-info": {
         **_COMMON,
+        "tau": 1.0,
         "a": [2.0],
         "n_samples": 101,
     },
@@ -265,7 +271,7 @@ def _validate(sub: str, cfg: dict) -> None:
     for v in cfg["a"]:
         if v < 1.0:
             raise ConfigError(f"a: contraction factor must be >= 1, got {v}")
-    if not cfg["tau"] > 0:
+    if "tau" in cfg and not cfg["tau"] > 0:
         raise ConfigError(f"tau: must be positive, got {cfg['tau']}")
     # each sample is a step index in [0, steps]
     for key in ("n_times", "n_check"):
@@ -280,44 +286,18 @@ def _validate(sub: str, cfg: dict) -> None:
         cfg["scan"] = "phi_z"
 
 
-class _ArtifactWriter:
-    """Stages files in temp space and publishes them together at the end."""
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.staged = []  # (tmp_path, final_path)
-
-    def stage(self, name: str, text: str) -> str:
-        fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=f".{name}.", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        final = os.path.join(self.out_dir, name)
-        self.staged.append((tmp, final))
-        return final
-
-    def publish(self):
-        for tmp, final in self.staged:
-            os.replace(tmp, final)
-        self.staged = []
-
-    def discard(self):
-        for tmp, _ in self.staged:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        self.staged = []
+def _json_text(doc, what: str) -> str:
+    """Strict JSON; a NaN or infinite value raises RuntimeError naming ``what``."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise RuntimeError(f"{what} ({exc})") from exc
 
 
 def _table_text(header: list[str], rows: list[list], fmt: str) -> str:
     """The table as CSV or JSON; a NaN or infinite entry raises RuntimeError."""
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        try:
-            return json.dumps(payload, indent=2, sort_keys=True, default=float,
-                              allow_nan=False) + "\n"
-        except ValueError as exc:
-            raise RuntimeError(f"non-finite table value ({exc})") from exc
+        return _json_text([dict(zip(header, row)) for row in rows], "non-finite table value")
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -332,27 +312,37 @@ def _table_text(header: list[str], rows: list[list], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_text(sub: str, cfg: dict, results: dict, checks: dict) -> str:
-    passed = all(c["passed"] for c in checks.values()) if checks else True
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "subcommand": sub,
-        "config": cfg,
-        "results": results,
-        "checks": checks,
-        "passed": passed,
-    }
+def _summary_text(sub: str, cfg: dict, results: dict, checks: dict, passed: bool) -> str:
+    doc = {"schema": SCHEMA_VERSION, "subcommand": sub, "config": cfg,
+           "results": results, "checks": checks, "passed": passed}
+    return _json_text(doc, "non-finite result")
+
+
+def _publish(out_dir: str, files: dict[str, str]) -> None:
+    """Write every file or, on OSError, none: each goes to a temp file, then all are renamed."""
+    written = []  # the paths that hold this run's files: temp names, then final names
     try:
-        return json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise RuntimeError(f"non-finite result ({exc})") from exc
+        for name, text in files.items():
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.", suffix=".tmp")
+            written.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for i, name in enumerate(files):
+            final = os.path.join(out_dir, name)
+            os.replace(written[i], final)
+            written[i] = final
+    except OSError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def _check(value: float, tol: float) -> dict:
     return {"value": value, "tol": tol, "passed": value <= tol}
 
 
-def _run_iontrap(cfg: dict, writer: _ArtifactWriter) -> dict:
+def _run_iontrap(cfg: dict) -> dict:
     """Fidelity curves of the rescaled ramp."""
     model = IonTrapModel(tau=cfg["tau"])
     grid = WavepacketGrid.gaussian(p0=cfg["p0"], sigma_p=cfg["sigma_p"],
@@ -368,12 +358,11 @@ def _run_iontrap(cfg: dict, writer: _ArtifactWriter) -> dict:
             rows.append([a, t, fi, ff])
         terminal[_fmt(a)] = {"t": float(curves.t[-1]), "F_i": float(curves.f_initial[-1]),
                              "F_f": float(curves.f_final[-1])}
-    writer.stage(f"fidelity.{cfg['format']}",
-                 _table_text(["a", "t", "F_i", "F_f"], rows, cfg["format"]))
-    return {"results": {"terminal": terminal}, "checks": {}}
+    return {"tables": {"fidelity": (["a", "t", "F_i", "F_f"], rows)},
+            "results": {"terminal": terminal}, "checks": {}}
 
 
-def _run_gauge_check(cfg: dict, writer: _ArtifactWriter) -> dict:
+def _run_gauge_check(cfg: dict) -> dict:
     """Frame-equivalence deviation report."""
     model = IonTrapModel(tau=cfg["tau"])
     rows = []
@@ -390,19 +379,19 @@ def _run_gauge_check(cfg: dict, writer: _ArtifactWriter) -> dict:
                 rows.append([a, p, t, res.deviations[i, j]])
         deviations[_fmt(a)] = res.max_deviation
         worst = max(worst, res.max_deviation)
-    writer.stage(f"gauge_deviations.{cfg['format']}",
-                 _table_text(["a", "p", "t", "deviation"], rows, cfg["format"]))
-    return {"results": {"max_deviation": deviations},
+    return {"tables": {"gauge_deviations": (["a", "p", "t", "deviation"], rows)},
+            "results": {"max_deviation": deviations},
             "checks": {"frame_equivalence": _check(worst, cfg["tol"])}}
 
 
-def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
+def _run_floquet(cfg: dict) -> dict:
     """Quasienergy scans and the contracted-cycle identity."""
     params = WeylModelParams(
         J=cfg["J"], lam=cfg["lam"], V1=cfg["V1"], V2=cfg["V2"], Omega=cfg["Omega"],
         k=cfg["k"], phi_y=cfg["phi_y"], phi_z=cfg["phi_z"], ell=cfg["ell"],
         T0=cfg["T0"], r=cfg["r"], phi_y0=cfg["phi_y0"], phi_z0=cfg["phi_z0"],
     )
+    tables: dict = {}
     results: dict = {}
     checks: dict = {}
     if cfg["scan"] is not None:
@@ -415,8 +404,7 @@ def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
             fields = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z,
                       cfg["scan"]: float(v)}
             rows.append([fields["k"], fields["phi_y"], fields["phi_z"], e1, e2])
-        writer.stage(f"quasienergies.{cfg['format']}",
-                     _table_text(["k", "phi_y", "phi_z", "E1", "E2"], rows, cfg["format"]))
+        tables["quasienergies"] = (["k", "phi_y", "phi_z", "E1", "E2"], rows)
         results["scan"] = {"axis": cfg["scan"], "points": int(cfg["scan_points"])}
     if cfg["equivalence"]:
         deviations = {}
@@ -429,11 +417,12 @@ def _run_floquet(cfg: dict, writer: _ArtifactWriter) -> dict:
             worst = max(worst, dev)
         results["equivalence"] = deviations
         checks["floquet_equivalence"] = _check(worst, cfg["tol"])
-    return {"results": results, "checks": checks}
+    return {"tables": tables, "results": results, "checks": checks}
 
 
-def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
+def _run_appendix(cfg: dict) -> dict:
     """Canonical-transformation checks."""
+    tables: dict = {}
     results: dict = {}
     checks: dict = {}
     if cfg["mode"] == "classical":
@@ -448,9 +437,8 @@ def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
             dev = np.max(np.abs(res.mapped - res.transformed), axis=-1)
             columns = (res.times, *res.original.T, *res.transformed.T, dev)
             rows = list(zip(*(c[::stride].tolist() for c in columns)))
-            writer.stage(f"trajectory_a{_fmt(a)}.{cfg['format']}",
-                         _table_text(["t", "x", "p", "xbar", "pbar", "deviation"],
-                                     rows, cfg["format"]))
+            tables[f"trajectory_a{_fmt(a)}"] = (["t", "x", "p", "xbar", "pbar", "deviation"],
+                                                rows)
             worst[_fmt(a)] = res.max_deviation
         results["max_deviation"] = worst
         checks["trajectory_equivalence"] = _check(max(worst.values()), cfg["tol"])
@@ -463,14 +451,13 @@ def _run_appendix(cfg: dict, writer: _ArtifactWriter) -> dict:
             columns = (ts, *h1h2(rf, ts, cfg["mass"]), kappa(rf, ts, cfg["mass"]),
                        *quantum_coeffs(rf, ts))
             rows.extend([a, *row] for row in zip(*columns))
-        writer.stage(f"coefficients.{cfg['format']}",
-                     _table_text(["a", "t", "h1", "h2", "kappa", "alpha", "beta", "kappa_q"],
-                                 rows, cfg["format"]))
+        tables["coefficients"] = (["a", "t", "h1", "h2", "kappa", "alpha", "beta", "kappa_q"],
+                                  rows)
         results["coefficients"] = {"rows": len(rows)}
-    return {"results": results, "checks": checks}
+    return {"tables": tables, "results": results, "checks": checks}
 
 
-def _run_rescale_info(cfg: dict, writer: _ArtifactWriter) -> dict:
+def _run_rescale_info(cfg: dict) -> dict:
     """Rescaling samples and boundary report."""
     results: dict = {}
     checks: dict = {}
@@ -491,9 +478,8 @@ def _run_rescale_info(cfg: dict, writer: _ArtifactWriter) -> dict:
             "tol": report.tol,
             "passed": report.passed,
         }
-    writer.stage(f"rescaling.{cfg['format']}",
-                 _table_text(["a", "t", "f", "df", "d2f", "d3f"], rows, cfg["format"]))
-    return {"results": results, "checks": checks}
+    return {"tables": {"rescaling": (["a", "t", "f", "df", "d2f", "d3f"], rows)},
+            "results": results, "checks": checks}
 
 
 _RUNNERS = {
@@ -506,39 +492,36 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    writer = _ArtifactWriter(cfg["out"])
     try:
         os.makedirs(cfg["out"], exist_ok=True)
         try:
             # a non-finite value fails the run below, so numpy need not warn of it first
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                outcome = _RUNNERS[args.subcommand](cfg, writer)
-            summary = _summary_text(args.subcommand, cfg, outcome["results"], outcome["checks"])
-        except (ConfigError, ValueError) as exc:
-            writer.discard()
+                outcome = _RUNNERS[args.subcommand](cfg)
+            files = {f"{name}.{cfg['format']}": _table_text(header, rows, cfg["format"])
+                     for name, (header, rows) in outcome["tables"].items()}
+            failed = sorted(name for name, c in outcome["checks"].items() if not c["passed"])
+            files["summary.json"] = _summary_text(args.subcommand, cfg, outcome["results"],
+                                                  outcome["checks"], passed=not failed)
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except RuntimeError as exc:
             # drifted/diverged computation: report as a failed check
-            writer.discard()
             print(f"check failed: {exc}", file=sys.stderr)
             return EXIT_TOLERANCE
-        writer.stage("summary.json", summary)
-        writer.publish()
+        _publish(cfg["out"], files)
     except OSError as exc:
-        writer.discard()
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    failed = [name for name, c in outcome["checks"].items() if not c["passed"]]
     if failed:
-        print(f"tolerance exceeded: {', '.join(sorted(failed))}", file=sys.stderr)
+        print(f"tolerance exceeded: {', '.join(failed)}", file=sys.stderr)
         return EXIT_TOLERANCE
     return EXIT_OK
 

@@ -90,10 +90,11 @@ class UnitarityError(RuntimeError):
     """Composed propagator drifted off the unitary group beyond tolerance."""
 
     def __init__(self, defect: float, tol: float):
-        super().__init__(
-            f"unitarity defect {defect:.3e} exceeds {tol:.1e}; "
-            "the stepping is too coarse for these coefficients"
-        )
+        if np.isfinite(defect):
+            cause = "the stepping is too coarse for these coefficients"
+        else:
+            cause = "the coefficients times the time step left float range"
+        super().__init__(f"unitarity defect {defect:.3e} exceeds {tol:.1e}; {cause}")
         self.defect = defect
         self.tol = tol
 

@@ -29,6 +29,9 @@ __all__ = [
 #: residual threshold for the shortcut boundary conditions
 BOUNDARY_TOL = 1e-10
 
+#: relative slack past either end of [0, tau/a] that a time may have
+_DOMAIN_SLACK = 1e-9
+
 
 def _missing_derivative(t):
     raise ValueError("custom rescaling does not provide d2f/d3f")
@@ -51,6 +54,11 @@ class RescalingFunction:
             raise ValueError(f"contraction factor must satisfy a >= 1, got {self.a}")
         if not (self.tau > 0.0):
             raise ValueError(f"process duration must be positive, got {self.tau}")
+        # below about 5e-315 the spacing of floats exceeds the slack of _check_domain
+        horizon = self.tau / self.a
+        if math.ulp(horizon) > _DOMAIN_SLACK * horizon:
+            raise ValueError(f"horizon tau/a = {self.tau}/{self.a} is too small: floats that "
+                             f"small are spaced wider than {_DOMAIN_SLACK:g} * tau/a")
 
     @classmethod
     def identity(cls, tau: float = 1.0) -> "RescalingFunction":
@@ -68,7 +76,7 @@ class RescalingFunction:
 
     def _check_domain(self, t):
         t = np.asarray(t, dtype=float)
-        slack = 1e-9 * self.horizon
+        slack = _DOMAIN_SLACK * self.horizon
         below, above = t < -slack, t > self.horizon + slack
         if np.any(below) or np.any(above):
             worst = float(np.min(t[below]) if np.any(below) else np.max(t[above]))

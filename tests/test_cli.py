@@ -1,8 +1,13 @@
 import json
+import math
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_rescale.cli import CHOICES, DEFAULTS, ORDER, _build_parser, main
 
@@ -169,6 +174,22 @@ def test_io_error_exit_code(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv,blocker", [
+    (["rescale-info"], "summary.json"),
+    (["appendix", "--a", "2", "--a", "3", "--steps", "200"], "summary.json"),
+    (["appendix", "--a", "2", "--a", "3", "--steps", "200"], "trajectory_a3.csv"),
+])
+def test_io_error_leaves_no_partial_set(tmp_path, capsys, argv, blocker):
+    # a directory in the way of one artifact fails the run with exit 4, and
+    # none of the run's files stays behind: no table, no temp file
+    out = tmp_path / "run"
+    (out / blocker).mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 4
+    assert os.listdir(out) == [blocker]
+    assert os.listdir(out / blocker) == []
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
 def test_no_partial_files_on_tolerance_failure(tmp_path):
     # even a failing check publishes the full artifact set (summary included)
     out = tmp_path / "run"
@@ -300,6 +321,36 @@ def test_out_of_range_input_fails_without_numpy_warning(tmp_path, capsys, argv, 
     assert len(lines) == 1 and lines[0].startswith(err)
 
 
+@pytest.mark.parametrize("argv", [
+    "gauge-check --p 1e300",
+    "floquet --equivalence --V1 1e300",
+    "floquet --J 1e300",
+    "gauge-check --tau 1e-300 --steps 8 --n-check 2",
+])
+def test_huge_coefficients_blame_float_range(tmp_path, capsys, argv):
+    # no step count helps once |d| * dt leaves float range, so the message
+    # does not advise finer stepping
+    out = tmp_path / "run"
+    assert main([*argv.split(), "--out", str(out)]) == 3
+    assert os.listdir(out) == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("check failed: unitarity defect nan")
+    assert lines[0].endswith("the coefficients times the time step left float range")
+
+
+@pytest.mark.parametrize("argv", ["rescale-info --tau 1e-320",
+                                  "appendix --mode coeffs --tau 1e-320"])
+def test_subnormal_horizon_is_config_error(tmp_path, capsys, argv):
+    # the message names tau and a, not a sample time
+    out = tmp_path / "run"
+    assert main([*argv.split(), "--out", str(out)]) == 2
+    assert os.listdir(out) == []
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: horizon tau/a = 1e-320/2.0 is too small: floats that small "
+                     "are spaced wider than 1e-09 * tau/a"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_appendix_coeffs_overflow_is_config_error(tmp_path, capsys, fmt):
@@ -366,6 +417,8 @@ def test_parser_flags_follow_defaults():
 @pytest.mark.parametrize("argv", [
     # gauge-check has no mass or c; with prefix matching off, "--c" is not read as --config
     ["gauge-check", "--mass", "2"], ["gauge-check", "--c", "3"],
+    # floquet's pumping window is T0, so it has no tau
+    ["floquet", "--tau", "2"],
 ])
 def test_gauge_check_has_no_mass_or_c_flag(tmp_path, argv):
     try:
@@ -376,12 +429,16 @@ def test_gauge_check_has_no_mass_or_c_flag(tmp_path, argv):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key", ["mass", "c"])
-def test_gauge_check_config_has_no_mass_or_c(tmp_path, key):
+@pytest.mark.parametrize("sub,key", [
+    pytest.param("gauge-check", "mass", id="mass"),
+    pytest.param("gauge-check", "c", id="c"),
+    pytest.param("floquet", "tau", id="floquet-tau"),
+])
+def test_gauge_check_config_has_no_mass_or_c(tmp_path, sub, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 1.0}))
+    cfg.write_text(json.dumps({key: 2}))
     out = tmp_path / "run"
-    assert main(["gauge-check", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -511,3 +568,68 @@ def test_iontrap_matches_library_cf4(tmp_path):
                                  n_times=9, n_steps=200, order=4)
         want += [[a, *row] for row in zip(curves.t, curves.f_initial, curves.f_final)]
     assert rows == want
+
+
+#: edge values for the numeric keys, each passed as --key=value (so "-1e300" is a value)
+_EDGE_VALUES = ["0", "1", "-1", "1e-320", "1e-300", "1e300", "-1e300", "1e160"]
+
+#: step and sample counts that keep each fuzzed run to milliseconds
+_SMALL_RUN = {
+    "iontrap": ["--steps=4", "--n-times=3", "--grid-points=5"],
+    "gauge-check": ["--steps=4", "--n-check=3"],
+    "floquet": ["--steps=8", "--period-steps=4", "--scan-points=3"],
+    "appendix": ["--steps=20", "--n-record=5"],
+    "rescale-info": ["--n-samples=5"],
+}
+
+#: the library's own warnings; any other warning fails the property
+_LIBRARY_WARNINGS = ["pumping period", "grid contains modes", "mode sits on the gap-closure"]
+
+
+@st.composite
+def _edge_flags(draw, sub):
+    options = {}
+    for key, default in DEFAULTS[sub].items():
+        if key in CHOICES:
+            options[key] = [f"={v}" for v in CHOICES[key]]
+        elif isinstance(default, bool):
+            options[key] = [""]
+        elif isinstance(default, (float, list)):
+            options[key] = [f"={v}" for v in _EDGE_VALUES]
+    keys = draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=3, unique=True))
+    return [_flag(k) + draw(st.sampled_from(options[k])) for k in keys]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite constant {name}")
+
+
+@pytest.mark.parametrize("sub", sorted(DEFAULTS))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_edge_values_publish_all_or_nothing(sub, data):
+    # every run ends in 0, 2 or 3, and either publishes a strictly finite
+    # artifact set whose verdict matches the exit code, or no file at all
+    argv = [sub, *_SMALL_RUN[sub], *data.draw(_edge_flags(sub))]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for message in _LIBRARY_WARNINGS:
+            warnings.filterwarnings("ignore", message=message)
+        out = os.path.join(tmp, "run")
+        code = main([*argv, f"--out={out}"])
+        assert code in (0, 2, 3), argv
+        names = sorted(os.listdir(out)) if os.path.isdir(out) else []
+        if "summary.json" not in names:
+            assert names == [], argv
+            return
+        summary = json.loads(read(os.path.join(out, "summary.json")),
+                             parse_constant=_reject_constant)
+        assert summary["passed"] is (code == 0), argv
+        for name in names:
+            text = read(os.path.join(out, name))
+            if name.endswith(".json"):
+                json.loads(text, parse_constant=_reject_constant)
+            else:
+                assert name.endswith(".csv"), name
+                cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
+                assert all(math.isfinite(float(c)) for c in cells), (argv, name)

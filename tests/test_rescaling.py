@@ -144,6 +144,20 @@ def test_domain_error_names_the_worst_time(lo, hi, worst):
     assert f"time {worst} " in msg and "[0, 0.5]" in msg
 
 
+@pytest.mark.parametrize("a,tau", [(2.0, 1e-320), (1.0, 1e-320), (1e300, 1e-300)])
+def test_too_small_horizon_rejected(a, tau):
+    # below about 5e-315 floats are spaced wider than the domain slack; the
+    # message names tau and a, not a sample time
+    with pytest.raises(ValueError, match=r"horizon tau/a = .* is too small"):
+        RescalingFunction(a=a, tau=tau)
+
+
+def test_subnormal_horizon_with_fine_spacing_accepted():
+    # 1e-308 is subnormal but keeps 51 bits, far finer than the domain slack;
+    # its omega overflows, which the CLI reports as a non-finite result (exit 3)
+    assert RescalingFunction(a=1e308, tau=1.0).horizon == 1e-308
+
+
 def test_check_boundary_passes_for_family():
     assert check_boundary(RescalingFunction(a=1.0, tau=1.0)).passed
     report = check_boundary(RescalingFunction(a=4.0, tau=2.0))
