@@ -265,6 +265,8 @@ def _validate(sub: str, cfg: dict) -> None:
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{key}: must be finite, got {v}")
+            if type(v) is int:
+                _as_float(key, v)  # an int past float range fails as a float would
     for key, low in MIN_INT.items():
         if key in cfg and cfg[key] < low:
             raise ConfigError(f"{key}: must be >= {low}, got {cfg[key]}")

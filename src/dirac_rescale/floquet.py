@@ -267,23 +267,21 @@ def calibrate_perturbative_prefactor(params: WeylModelParams, n_steps: int = 200
 
 
 def linearized_h_near_touching(params: WeylModelParams,
-                               rf: RescalingFunction | None = None,
                                include_offset: bool = True,
                                freeze_kz: bool = False) -> PauliHamiltonian:
     """First-order expansion of the driven mode around the touching point,
 
-        df(t) * { [-2J k_x cos(g) - 2 lam k_y sin(g)] sx
-                  + [2J k_x sin(g) - 2 lam k_y cos(g)] sy
-                  + [ell pi - V1 k_z sin(phi_l)] sz } ,
+        [-2J k_x cos(g) - 2 lam k_y sin(g)] sx
+        + [2J k_x sin(g) - 2 lam k_y cos(g)] sy
+        + [ell pi - V1 k_z sin(phi_l)] sz ,
 
-    with g(t) = ell c sin(Omega f(t)), k_x = k - pi/2, k_y = phi_y - pi/2
+    with g(t) = ell c sin(Omega t), k_x = k - pi/2, k_y = phi_y - pi/2
     and k_z = phi_z - phi_l.  ``include_offset=False`` drops the constant
     ell*pi rest term (the quasienergy offset already resummed into the
     oscillating coefficients), which is the frame in which the dispersion
     slopes (2J, 2lam, V1 sin(phi_l)) appear; ``freeze_kz`` zeroes k_z.
+    Its contracted form is ``time_rescaled(h, rf)``.
     """
-    if rf is None:
-        rf = RescalingFunction.identity(tau=params.T0)
     phi_l = params.phi_l
     kx = params.k - math.pi / 2.0
     ky = params.phi_y - math.pi / 2.0
@@ -294,12 +292,11 @@ def linearized_h_near_touching(params: WeylModelParams,
     rest = offset - V1 * kz * math.sin(phi_l)
 
     def terms(t):
-        fd = rf.df(t)
-        g = z * np.sin(Om * rf.f(t))
+        g = z * np.sin(Om * t)
         return (0.0,
-                fd * (-2.0 * J * kx * np.cos(g) - 2.0 * lam * ky * np.sin(g)),
-                fd * (2.0 * J * kx * np.sin(g) - 2.0 * lam * ky * np.cos(g)),
-                fd * rest)
+                -2.0 * J * kx * np.cos(g) - 2.0 * lam * ky * np.sin(g),
+                2.0 * J * kx * np.sin(g) - 2.0 * lam * ky * np.cos(g),
+                rest)
 
     return PauliHamiltonian(terms)
 

@@ -322,9 +322,9 @@ def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
 def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, order: int = 2):
     """Propagate df(s)*H(f(s)) over [0, tau/a]; equals U(tau <- 0) of H exactly.
 
-    The rescaling must satisfy the shortcut boundary conditions; they are
-    re-verified here so that hand-built rescalings cannot silently break the
-    change-of-variables identity.
+    The rescaling must satisfy the shortcut boundary conditions.  They are
+    re-verified here because floats can break them for a valid-looking a:
+    at a = 1e16, df(0) = a - (a-1) rounds to 0.
     """
     require_boundary(rf)
     return propagate(time_rescaled(h, rf), 0.0, rf.horizon, n_steps, order=order)

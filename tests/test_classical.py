@@ -108,6 +108,18 @@ def test_kappa_matches_coefficient_assembly():
         assert kappa(rf, t, m) == pytest.approx(assembled, rel=1e-7, abs=1e-7)
 
 
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.0, 4.0])
+def test_kappa_is_quarter_mass_times_schwarzian(a):
+    # kappa = (m/4) S(f) with the Schwarzian S(f) = d3f/df - (3/2) (d2f/df)^2
+    rf = RescalingFunction(a=a, tau=1.0)
+    t = np.linspace(0.0, rf.horizon, 257)
+    fd, f2, f3 = rf.df(t), rf.d2f(t), rf.d3f(t)
+    schwarzian = f3 / fd - 1.5 * (f2 / fd) ** 2
+    for m in (0.5, 1.0, 3.0):
+        want = 0.25 * m * schwarzian
+        assert np.all(np.abs(kappa(rf, t, m) - want) <= 1e-13 * np.abs(want)), (a, m)
+
+
 def test_cross_term_cancels():
     # the pbar*xbar coefficient 4 h2 df/(2m) + dh1/dt / h1 vanishes identically
     rng = np.random.default_rng(4)

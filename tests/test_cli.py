@@ -1,7 +1,10 @@
+import contextlib
 import json
 import math
 import os
+import signal
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_rescale.cli import CHOICES, DEFAULTS, ORDER, _build_parser, main
+from dirac_rescale.cli import CHOICES, DEFAULTS, MIN_INT, ORDER, _build_parser, main
 
 
 def read(path):
@@ -351,6 +354,18 @@ def test_subnormal_horizon_is_config_error(tmp_path, capsys, argv):
                      "are spaced wider than 1e-09 * tau/a"]
 
 
+@pytest.mark.parametrize("argv,code", [
+    # the f residuals are relative to tau, so one ulp of f(tau/a) = 1e6 passes
+    ("rescale-info --tau 1e6 --a 3", 0),
+    ("iontrap --tau 1e6 --a 3 --steps 32 --grid-points 9", 0),
+    # df(0) = a - (a-1) rounds to 0 at a = 1e16
+    ("rescale-info --a 1e16", 3),
+    ("iontrap --a 1e16", 2),
+])
+def test_boundary_check_scales_with_tau_not_a(tmp_path, argv, code):
+    assert main([*argv.split(), "--out", str(tmp_path / "run")]) == code
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_appendix_coeffs_overflow_is_config_error(tmp_path, capsys, fmt):
@@ -604,24 +619,51 @@ def _reject_constant(name):
     raise ValueError(f"non-finite constant {name}")
 
 
-@pytest.mark.parametrize("sub", sorted(DEFAULTS))
-@settings(max_examples=8, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_edge_values_publish_all_or_nothing(sub, data):
-    # every run ends in 0, 2 or 3, and either publishes a strictly finite
-    # artifact set whose verdict matches the exit code, or no file at all
-    argv = [sub, *_SMALL_RUN[sub], *data.draw(_edge_flags(sub))]
+#: wall-time bound of one fuzzed run, so that a hang fails instead of passing
+_RUN_SECONDS = 20.0
+
+
+@contextlib.contextmanager
+def _wall_time_bound(seconds):
+    def expire(signum, frame):
+        pytest.fail(f"run took over {seconds:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_wall_time_bound_stops_a_hang():
+    with pytest.raises(pytest.fail.Exception, match="run took over"):
+        with _wall_time_bound(0.05):
+            time.sleep(5)
+
+
+def _run_all_or_nothing(argv, config_text=None):
+    """Exit code of one run, checked to be 0, 2 or 3 within the wall-time
+    bound, with either a strictly finite artifact set whose verdict matches
+    the exit code, or no file at all."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         for message in _LIBRARY_WARNINGS:
             warnings.filterwarnings("ignore", message=message)
+        if config_text is not None:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(config_text)
+            argv = [*argv, f"--config={config}"]
         out = os.path.join(tmp, "run")
-        code = main([*argv, f"--out={out}"])
+        with _wall_time_bound(_RUN_SECONDS):
+            code = main([*argv, f"--out={out}"])
         assert code in (0, 2, 3), argv
         names = sorted(os.listdir(out)) if os.path.isdir(out) else []
         if "summary.json" not in names:
             assert names == [], argv
-            return
+            return code
         summary = json.loads(read(os.path.join(out, "summary.json")),
                              parse_constant=_reject_constant)
         assert summary["passed"] is (code == 0), argv
@@ -633,3 +675,77 @@ def test_edge_values_publish_all_or_nothing(sub, data):
                 assert name.endswith(".csv"), name
                 cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
                 assert all(math.isfinite(float(c)) for c in cells), (argv, name)
+    return code
+
+
+@pytest.mark.parametrize("sub", sorted(DEFAULTS))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_edge_values_publish_all_or_nothing(sub, data):
+    # every run ends in 0, 2 or 3, and either publishes a strictly finite
+    # artifact set whose verdict matches the exit code, or no file at all
+    _run_all_or_nothing([sub, *_SMALL_RUN[sub], *data.draw(_edge_flags(sub))])
+
+
+#: config-file values as JSON text: ints for float keys, wrong types, a
+#: float literal that parses to inf and an int beyond float range
+_FILE_VALUES = ["0", "2", "-1", "true", "null", '"x"', "[]", '[1, "x"]', "1e999", str(10**400)]
+
+#: values that no key accepts, so a file holding one always exits 2
+_FILE_REJECTED = {"[]", '[1, "x"]', "1e999", str(10**400)}
+
+
+def _small_run_values(sub):
+    """_SMALL_RUN's counts as config-file values: {key: JSON text}."""
+    pairs = (arg[2:].split("=") for arg in _SMALL_RUN[sub])
+    return {key.replace("-", "_"): value for key, value in pairs}
+
+
+@st.composite
+def _edge_file(draw, sub):
+    # --out and --config are flags, which would override the file's values
+    keys = sorted(set(DEFAULTS[sub]) - {"out", "config"})
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    return {key: draw(st.sampled_from(_FILE_VALUES + [json.dumps(v) for v in CHOICES.get(key, [])]))
+            for key in chosen}
+
+
+@pytest.mark.parametrize("sub", sorted(DEFAULTS))
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_file_edge_values_publish_all_or_nothing(sub, data):
+    # the file holds the small run's counts, and the drawn values override them
+    drawn = data.draw(_edge_file(sub))
+    values = {**_small_run_values(sub), **drawn}
+    text = "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in values.items()) + "}"
+    code = _run_all_or_nothing([sub], text)
+    if _FILE_REJECTED & set(drawn.values()):
+        assert code == 2, text
+
+
+def _integer_edges():
+    """(argv, whether it must be refused) for each integer key at and below its
+    minimum, and for sample counts at and past steps + 1."""
+    # one step holds at most two samples
+    fewer = {"iontrap": ["--n-times=2"], "gauge-check": ["--n-check=2"]}
+    for sub in sorted(DEFAULTS):
+        for key, low in MIN_INT.items():
+            if key not in DEFAULTS[sub]:
+                continue
+            extra = fewer.get(sub, []) if key == "steps" else []
+            for value, refused in ((low - 1, True), (low, False)):
+                yield pytest.param([sub, *_SMALL_RUN[sub], *extra, f"{_flag(key)}={value}"],
+                                   refused, id=f"{sub}-{key}={value}")
+    for sub, key in (("iontrap", "n_times"), ("gauge-check", "n_check")):
+        steps = int(_small_run_values(sub)["steps"])
+        for value, refused in ((steps + 1, False), (steps + 2, True)):
+            yield pytest.param([sub, *_SMALL_RUN[sub], f"{_flag(key)}={value}"],
+                               refused, id=f"{sub}-{key}=steps+{value - steps}")
+
+
+@pytest.mark.parametrize("argv,refused", _integer_edges())
+def test_integer_edges_publish_all_or_nothing(argv, refused):
+    # below the minimum, or more samples than step indices, is a config error;
+    # at the edge the run goes ahead (its check may still fail, exit 3)
+    code = _run_all_or_nothing(argv)
+    assert (code == 2) is refused, (argv, code)
