@@ -1,6 +1,6 @@
 """Time-rescaled shortcuts to adiabaticity for two-level Dirac-type dynamics."""
 
-from .rescaling import BoundaryReport, RescalingFunction, check_boundary
+from .rescaling import RescalingFunction, check_boundary
 from .propagator import (
     IDENTITY2,
     PAULI_X,

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rescaling import RescalingFunction, require_boundary
+from .rescaling import RescalingFunction
 
 __all__ = [
     "ClassicalModel",
@@ -232,7 +232,6 @@ def appendix_equivalence_check(model: ClassicalModel, rf: RescalingFunction,
     but uncoupled, act as mutual oracle; the result carries their largest
     deviation.
     """
-    require_boundary(rf)
     m, dV = model.m, model.dV
     y0 = np.asarray(state0, dtype=float)
     if y0.shape != (2,):

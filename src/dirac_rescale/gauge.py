@@ -36,7 +36,7 @@ from .propagator import (
     propagate_sampled,
     time_rescaled,
 )
-from .rescaling import RescalingFunction, require_boundary
+from .rescaling import RescalingFunction
 
 __all__ = [
     "GaugeFrame",
@@ -64,8 +64,6 @@ class GaugeFrame:
 def phi_of_t(frame: GaugeFrame, t):
     """Principal angle 0.5*arccos(1/df(t)) in [0, pi/4)."""
     fd = np.asarray(frame.rf.df(t), dtype=float)
-    if np.any(fd < 1.0 - 1e-12):
-        raise ValueError("df < 1: not a valid contraction at this time")
     out = 0.5 * np.arccos(np.clip(1.0 / fd, -1.0, 1.0))
     return float(out) if out.ndim == 0 else out
 
@@ -178,7 +176,6 @@ def gauge_equivalence_check(
     """
     if not 1 <= n_check <= n_steps + 1:
         raise ValueError(f"n_check must be in [1, n_steps + 1 = {n_steps + 1}], got {n_check}")
-    require_boundary(rf)
     frame = GaugeFrame(rf=rf)
     sample = [int(round(j * n_steps / (n_check - 1))) for j in range(n_check)] if n_check > 1 else [n_steps]
     p_arr = np.asarray(list(p_list), dtype=float)

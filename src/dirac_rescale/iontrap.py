@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .propagator import PauliHamiltonian, evolve_states, norm_defect, time_rescaled
-from .rescaling import RescalingFunction, require_boundary
+from .rescaling import RescalingFunction
 
 __all__ = [
     "IonTrapModel",
@@ -186,7 +186,6 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
         raise ValueError(f"n_times must be in [2, n_steps + 1 = {n_steps + 1}], got {n_times}")
     if abs(grid.quadrature_norm - 1.0) > 1e-10:
         raise ValueError("wavepacket grid is not normalized")
-    require_boundary(rf)
     if model.tau != rf.tau:
         raise ValueError("rescaling horizon must target the model duration tau")
     # the ramp's gap closes at p = A(tau) = 1

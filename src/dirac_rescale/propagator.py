@@ -46,8 +46,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rescaling import require_boundary
-
 __all__ = [
     "PAULI_X",
     "PAULI_Y",
@@ -320,13 +318,7 @@ def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
 
 
 def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int, order: int = 2):
-    """Propagate df(s)*H(f(s)) over [0, tau/a]; equals U(tau <- 0) of H exactly.
-
-    The rescaling must satisfy the shortcut boundary conditions.  They are
-    re-verified here because floats can break them for a valid-looking a:
-    at a = 1e16, df(0) = a - (a-1) rounds to 0.
-    """
-    require_boundary(rf)
+    """Propagate df(s)*H(f(s)) over [0, tau/a]; equals U(tau <- 0) of H exactly."""
     return propagate(time_rescaled(h, rf), 0.0, rf.horizon, n_steps, order=order)
 
 

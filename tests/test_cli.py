@@ -286,17 +286,18 @@ def test_vectorised_tables_match_scalar_rows(tmp_path, argv, table):
 
 
 def test_non_finite_result_exit(tmp_path):
-    # a finite but huge a overflows df_max = 2a - 1; nothing may be published
+    # a tiny horizon overflows the samples of d3f = (a-1) omega^2 cos(omega t);
+    # nothing may be published
     out = tmp_path / "run"
-    code = main(["rescale-info", "--a", "1e308", "--out", str(out)])
+    code = main(["rescale-info", "--a", "1e15", "--tau", "1e-290", "--out", str(out)])
     assert code == 3
     assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", [
-    ["rescale-info", "--a", "3", "--a", "1e300"],
-    ["rescale-info", "--a", "1e300"],
+    ["rescale-info", "--a", "3", "--a", "1e15", "--tau", "1e-290"],
+    ["rescale-info", "--a", "1e15", "--tau", "1e-290"],
 ])
 def test_non_finite_table_not_published(tmp_path, argv, fmt):
     # a table with NaN or Infinity fails the run and leaves nothing behind,
@@ -309,8 +310,8 @@ def test_non_finite_table_not_published(tmp_path, argv, fmt):
 @pytest.mark.parametrize("argv,code,err", [
     ("iontrap --sigma-p 1e160", 2, "error: p0 = 0.0, sigma_p = 1e+160"),
     ("iontrap --sigma-p 1e-300", 2, "error: p0 = 0.0, sigma_p = 1e-300"),
-    ("rescale-info --a 1e300", 3, "check failed: non-finite"),
-    ("rescale-info --a 1e200", 3, "check failed: non-finite"),
+    ("rescale-info --a 1e300", 2, "error: rescaling fails boundary conditions"),
+    ("rescale-info --a 1e200", 2, "error: rescaling fails boundary conditions"),
     ("appendix --x0 1e200", 3, "check failed: trajectory diverged"),
     ("appendix --tau 1e-300", 3, "check failed: trajectory diverged"),
 ])
@@ -359,7 +360,7 @@ def test_subnormal_horizon_is_config_error(tmp_path, capsys, argv):
     ("rescale-info --tau 1e6 --a 3", 0),
     ("iontrap --tau 1e6 --a 3 --steps 32 --grid-points 9", 0),
     # df(0) = a - (a-1) rounds to 0 at a = 1e16
-    ("rescale-info --a 1e16", 3),
+    ("rescale-info --a 1e16", 2),
     ("iontrap --a 1e16", 2),
 ])
 def test_boundary_check_scales_with_tau_not_a(tmp_path, argv, code):
@@ -496,6 +497,32 @@ def test_flag_and_config_file_agree(tmp_path, sub, key, value, extra):
         runs.append({name: read(out / name) for name in sorted(os.listdir(out))})
     assert runs[0] == runs[1]
     assert json.loads(runs[0]["summary.json"])["config"][key] == value
+
+
+#: (config key, a bad file value, a valid file value, its flag, the flag's echoed value)
+_OVERRIDDEN = [
+    ("steps", "abc", 64, ["--steps", "32"], 32),
+    ("a", [], [3.0], ["--a", "2"], [2.0]),
+    ("format", "xml", "csv", ["--format", "json"], "json"),
+]
+
+
+@pytest.mark.parametrize("key,bad,good,flag,echoed", _OVERRIDDEN, ids=[k for k, *_ in _OVERRIDDEN])
+def test_config_file_value_checked_under_its_flag(tmp_path, capsys, key, bad, good, flag,
+                                                  echoed):
+    # a flag overrides the file's value, but a bad file value still fails the run
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    argv = ["iontrap", "--steps", "32", "--grid-points", "9", *flag,
+            "--config", str(cfg), "--out", str(out)]
+    cfg.write_text(json.dumps({key: bad}))
+    assert main(argv) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key}: ")
+    cfg.write_text(json.dumps({key: good}))
+    assert main(argv) == 0
+    assert json.loads(read(out / "summary.json"))["config"][key] == echoed
 
 
 @pytest.mark.parametrize("argv,flag", [

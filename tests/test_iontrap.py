@@ -207,6 +207,21 @@ def test_tau_mismatch_rejected():
         fidelity_curves(model, rf, WavepacketGrid.gaussian(), n_times=3, n_steps=50)
 
 
+def test_fidelity_rejects_unnormalized_grid():
+    grid = WavepacketGrid.gaussian(p0=0.0, sigma_p=0.05, n_points=9)
+    doubled = WavepacketGrid(p=grid.p, weights=grid.weights, envelope=2.0 * grid.envelope)
+    with pytest.raises(ValueError, match="not normalized"):
+        fidelity_curves(IonTrapModel(tau=1.0), RescalingFunction(a=2.0, tau=1.0), doubled,
+                        n_times=3, n_steps=50)
+
+
+def test_fidelity_rejects_unknown_mode():
+    grid = WavepacketGrid.gaussian(p0=0.0, sigma_p=0.05, n_points=9)
+    with pytest.raises(ValueError, match="unknown fidelity mode 'x'"):
+        fidelity_curves(IonTrapModel(tau=1.0), RescalingFunction(a=2.0, tau=1.0), grid,
+                        n_times=3, n_steps=50, mode="x")
+
+
 @pytest.mark.parametrize("n_times", [0, 1])
 def test_fidelity_rejects_too_few_times(n_times):
     # at least the start and the end of the window must be sampled

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_rescale.rescaling import BOUNDARY_TOL, RescalingFunction, check_boundary
 
@@ -106,16 +110,18 @@ def test_too_small_horizon_rejected(a, tau):
 
 
 def test_subnormal_horizon_with_fine_spacing_accepted():
-    # 1e-308 is subnormal but keeps 51 bits, far finer than the domain slack;
-    # its omega overflows, which the CLI reports as a non-finite result (exit 3)
-    assert RescalingFunction(a=1e308, tau=1.0).horizon == 1e-308
+    # 1e-308 is subnormal but keeps 51 bits, far finer than the domain slack,
+    # so the horizon check lets it through; below about 3.5e-308 omega =
+    # 2 pi / horizon overflows and f(0) is NaN, so the boundary check refuses it
+    assert math.ulp(1e-308) <= 1e-9 * 1e-308
+    with pytest.raises(ValueError, match=r"rescaling fails boundary conditions.*f\(0\) = nan"):
+        RescalingFunction(a=1e308, tau=1.0)
 
 
 def test_check_boundary_passes_for_family():
-    assert check_boundary(RescalingFunction(a=1.0, tau=1.0)).passed
-    report = check_boundary(RescalingFunction(a=4.0, tau=2.0))
-    assert report.passed
-    assert all(v < BOUNDARY_TOL for v in report.residuals.values())
+    for a, tau in [(1.0, 1.0), (4.0, 2.0)]:
+        residuals = check_boundary(RescalingFunction(a=a, tau=tau))
+        assert all(v < BOUNDARY_TOL for v in residuals.values())
 
 
 _BOUNDARY_TAUS = np.logspace(-3, 9, 49).tolist()
@@ -126,12 +132,47 @@ _BOUNDARY_AS = [1.5, 2.0, 3.0, 4.0, 7.5, 10.0, 100.0, 1e3, 1e6]
 @pytest.mark.parametrize("tau", _BOUNDARY_TAUS)
 def test_check_boundary_passes_at_any_scale(tau, a):
     # the f residuals are relative to tau: one ulp of tau = 1e6 is 1.16e-10
-    report = check_boundary(RescalingFunction(a=a, tau=tau))
-    assert report.passed, report
+    residuals = check_boundary(RescalingFunction(a=a, tau=tau))
+    assert all(v < BOUNDARY_TOL for v in residuals.values()), residuals
 
 
 def test_check_boundary_rejects_linear_map():
-    # at a = 1e16 the float df(0) = a - (a-1) rounds to 0, so the guard must refuse it
-    report = check_boundary(RescalingFunction(a=1e16))
-    assert not report.passed
-    assert report.residuals["df(0)-1"] == 1.0
+    # at a = 1e16 the float df(0) = a - (a-1) rounds to 0, so it cannot be built
+    with pytest.raises(ValueError) as exc:
+        RescalingFunction(a=1e16)
+    msg = str(exc.value)
+    assert "\n" not in msg
+    assert "rescaling fails boundary conditions" in msg
+    assert "a = 1e+16, tau = 1.0" in msg
+    assert "df(0)-1 = 1.000e+00" in msg and "tol 1e-10" in msg
+
+
+@settings(deadline=None)
+@given(
+    a=st.one_of(st.floats(1.0, 2.0**53 + 8), st.floats(1.0, 10.0)),
+    tau=st.floats(1e-3, 1e9),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_every_built_rescaling_has_df_at_least_one(a, tau, fractions):
+    # passing df(0) = 1 at build time makes a - 1 exact, so the float
+    # df = a - (a-1) cos(omega t) cannot drop below 1 anywhere in the window
+    try:
+        rf = RescalingFunction(a=a, tau=tau)
+    except ValueError as exc:
+        assert "rescaling fails boundary conditions" in str(exc)
+        return
+    t = np.concatenate([np.linspace(0.0, rf.horizon, 4097),
+                        np.asarray(fractions) * rf.horizon])
+    assert np.all(rf.df(t) >= 1.0)
+
+
+@pytest.mark.parametrize("a,built", [(1e15, True), (2.0**53 + 2, False),
+                                     (1e16, False), (1e300, False)])
+def test_largest_contraction_factors(a, built):
+    # at tau = 1 floats keep df(0) = 1 up to a of about 9e15
+    if built:
+        assert RescalingFunction(a=a, tau=1.0).a == a
+        return
+    with pytest.raises(ValueError, match="rescaling fails boundary conditions") as exc:
+        RescalingFunction(a=a, tau=1.0)
+    assert "\n" not in str(exc.value)
