@@ -40,7 +40,7 @@ from .floquet import (
 )
 from .gauge import gauge_equivalence_check
 from .iontrap import IonTrapModel, WavepacketGrid, build_demo_hamiltonian, fidelity_curves
-from .rescaling import BOUNDARY_TOL, RescalingFunction, check_boundary
+from .rescaling import BOUNDARY_TOL, RescalingFunction
 
 __all__ = ["main"]
 
@@ -108,7 +108,6 @@ DEFAULTS = {
         "k": 1.1,
         "phi_y": 0.8,
         "phi_z": 0.5,
-        "ell": 1,
         "T0": 50.0,
         "r": 0.3,
         "phi_y0": 0.8,
@@ -387,7 +386,7 @@ def _run_floquet(cfg: dict) -> dict:
     """Quasienergy scans and the contracted-cycle identity."""
     params = WeylModelParams(
         J=cfg["J"], lam=cfg["lam"], V1=cfg["V1"], V2=cfg["V2"], Omega=cfg["Omega"],
-        k=cfg["k"], phi_y=cfg["phi_y"], phi_z=cfg["phi_z"], ell=cfg["ell"],
+        k=cfg["k"], phi_y=cfg["phi_y"], phi_z=cfg["phi_z"],
         T0=cfg["T0"], r=cfg["r"], phi_y0=cfg["phi_y0"], phi_z0=cfg["phi_z0"],
     )
     tables: dict = {}
@@ -462,16 +461,15 @@ def _run_rescale_info(cfg: dict) -> dict:
     rows = []
     for a in cfg["a"]:
         rf = RescalingFunction(a=a, tau=cfg["tau"])
-        residuals = check_boundary(rf)
         ts = np.linspace(0.0, rf.horizon, cfg["n_samples"])
         columns = (ts, rf.f(ts), rf.df(ts), rf.d2f(ts), rf.d3f(ts))
         rows.extend([a, *row] for row in zip(*columns))
         results[_fmt(a)] = {
             "horizon": rf.horizon,
             "df_max": float(2.0 * a - 1.0),
-            "residuals": residuals,
+            "residuals": rf.residuals,
         }
-        checks[f"boundary_a={_fmt(a)}"] = _check(max(residuals.values()), BOUNDARY_TOL)
+        checks[f"boundary_a={_fmt(a)}"] = _check(max(rf.residuals.values()), BOUNDARY_TOL)
     return {"tables": {"rescaling": (["a", "t", "f", "df", "d2f", "d3f"], rows)},
             "results": results, "checks": checks}
 

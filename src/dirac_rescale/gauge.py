@@ -1,11 +1,12 @@
 """Frame transformation that trades rescaled mass/velocity for potentials.
 
-The substituted Hamiltonian df*H(f) carries an effective velocity df*c and
-rest energy df*m*c^2.  The rotation angle phi(t) with cos(2 phi) = 1/df
-defines a time-dependent unitary built from exp(i phi sx) that restores a
-constant rest energy; what remains is a shifted kinetic coefficient (an
-inertial, momentum-dependent vector potential) plus a pseudoscalar sy term
-with coefficient m c^2 sqrt(df^2 - 1).
+The substituted Hamiltonian df*H(f) carries an effective velocity df and
+rest energy df*m (c = 1, as hbar = 1).  The rotation angle phi(t) with
+cos(2 phi) = 1/df comes from the rescaling alone, so every function here
+takes the RescalingFunction itself; it defines a time-dependent unitary
+built from exp(i phi sx) that restores a constant rest energy.  What remains
+is a shifted kinetic coefficient (an inertial, momentum-dependent vector
+potential) plus a pseudoscalar sy term with coefficient m sqrt(df^2 - 1).
 
 Convention used throughout: with the frame unitary K(t) = exp(-i phi(t) sx),
 a solution of the substituted dynamics factorizes as psi_tilde = K * phi_sol
@@ -39,7 +40,6 @@ from .propagator import (
 from .rescaling import RescalingFunction
 
 __all__ = [
-    "GaugeFrame",
     "phi_of_t",
     "phi_dot",
     "K_matrix",
@@ -53,28 +53,19 @@ __all__ = [
 _ENDPOINT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class GaugeFrame:
-    """Rotation-frame data for one rescaling: angle phi(t) with cos(2 phi) = 1/df."""
-
-    rf: RescalingFunction
-    c: float = 1.0
-
-
-def phi_of_t(frame: GaugeFrame, t):
+def phi_of_t(rf: RescalingFunction, t):
     """Principal angle 0.5*arccos(1/df(t)) in [0, pi/4)."""
-    fd = np.asarray(frame.rf.df(t), dtype=float)
+    fd = np.asarray(rf.df(t), dtype=float)
     out = 0.5 * np.arccos(np.clip(1.0 / fd, -1.0, 1.0))
     return float(out) if out.ndim == 0 else out
 
 
-def phi_dot(frame: GaugeFrame, t):
+def phi_dot(rf: RescalingFunction, t):
     """d(phi)/dt = d2f / (2 df sqrt(df^2 - 1)), with its finite endpoint limit.
 
     Where df = 1 the quotient is 0/0; the series limit is +sqrt(d3f)/2 when
     entering the window and -sqrt(d3f)/2 when leaving it.
     """
-    rf = frame.rf
     t_arr = np.asarray(t, dtype=float)
     fd = np.asarray(rf.df(t_arr), dtype=float)
     f2 = np.asarray(rf.d2f(t_arr), dtype=float)
@@ -101,43 +92,41 @@ def K_matrix(phi):
     return out
 
 
-def frame_unitary(frame: GaugeFrame, t):
+def frame_unitary(rf: RescalingFunction, t):
     """The frame rotation K(t) = K_matrix(-phi(t)) used in psi_tilde = K phi."""
-    return K_matrix(-np.asarray(phi_of_t(frame, t)))
+    return K_matrix(-np.asarray(phi_of_t(rf, t)))
 
 
-def frak_vector_potential(frame: GaugeFrame, vector_potential: Callable, t, p):
+def frak_vector_potential(rf: RescalingFunction, vector_potential: Callable, t, p):
     """Momentum-mode vector potential absorbing the rescaled kinetic shift,
 
-        df*A(f) + (df - 1)*c*p + d2f / (2 df sqrt(df^2 - 1)) ,
+        df*A(f) + (df - 1)*p + d2f / (2 df sqrt(df^2 - 1)) ,
 
     the last term being dphi/dt (finite endpoint limit included).
     """
-    rf = frame.rf
     fd = np.asarray(rf.df(t), dtype=float)
     a_resc = fd * np.asarray(vector_potential(rf.f(t)), dtype=float)
-    out = a_resc + (fd - 1.0) * frame.c * np.asarray(p, dtype=float) + phi_dot(frame, t)
+    out = a_resc + (fd - 1.0) * np.asarray(p, dtype=float) + phi_dot(rf, t)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def transformed_hamiltonian(frame: GaugeFrame, model: PauliHamiltonian) -> PauliHamiltonian:
+def transformed_hamiltonian(rf: RescalingFunction, model: PauliHamiltonian) -> PauliHamiltonian:
     """Coefficients of h = K^dag (df H(f)) K - i K^dag dK/dt.
 
     For a model d0*I + dx*sx + dz*sz this gives
         d0 -> df*d0(f)          dx -> df*dx(f) - dphi/dt
         dz -> dz(f)             dy -> dz(f)*sqrt(df^2 - 1)
     so a constant rest-energy dz stays constant and the sy (pseudoscalar)
-    coefficient is +m c^2 sqrt(df^2 - 1).  A nonzero model dy rotates into
+    coefficient is +m sqrt(df^2 - 1).  A nonzero model dy rotates into
     dz in the same way.
     """
-    rf = frame.rf
 
     def terms(t):
         z0, zx, zy, zz = model.coeffs(rf.f(t))
         fd = _align_tail(rf.df(t), z0)
         # df*cos(2 phi) = 1 and df*sin(2 phi) = sqrt(df^2 - 1)
         sin2phi_scaled = np.sqrt(np.maximum(fd * fd - 1.0, 0.0))
-        inertial = _align_tail(phi_dot(frame, t), z0)
+        inertial = _align_tail(phi_dot(rf, t), z0)
         return (fd * z0, fd * zx - inertial,
                 zy + sin2phi_scaled * zz, zz - sin2phi_scaled * zy)
 
@@ -176,17 +165,16 @@ def gauge_equivalence_check(
     """
     if not 1 <= n_check <= n_steps + 1:
         raise ValueError(f"n_check must be in [1, n_steps + 1 = {n_steps + 1}], got {n_check}")
-    frame = GaugeFrame(rf=rf)
     sample = [int(round(j * n_steps / (n_check - 1))) for j in range(n_check)] if n_check > 1 else [n_steps]
     p_arr = np.asarray(list(p_list), dtype=float)
     h = model_for_momentum(p_arr)
     h_tilde = time_rescaled(h, rf)
-    h_frak = transformed_hamiltonian(frame, h)
+    h_frak = transformed_hamiltonian(rf, h)
     # coefficients (..., frame, mode): the substituted run first, the rotated frame second
     h_both = PauliHamiltonian(lambda t: tuple(
         np.stack(pair, axis=-2) for pair in zip(h_tilde.coeffs(t), h_frak.coeffs(t))))
     times, us = propagate_sampled(h_both, 0.0, rf.horizon, n_steps, sample, order=order)
-    mismatch = us[:, 0] - frame_unitary(frame, times)[:, None] @ us[:, 1]
+    mismatch = us[:, 0] - frame_unitary(rf, times)[:, None] @ us[:, 1]
     devs = np.linalg.norm(mismatch, ord=2, axis=(-2, -1)).T
     return GaugeEquivalenceResult(
         momenta=p_arr,

@@ -164,8 +164,6 @@ class FidelityCurves:
     t: np.ndarray
     f_initial: np.ndarray
     f_final: np.ndarray
-    a: float
-    mode: str
 
 
 def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: WavepacketGrid,
@@ -214,4 +212,4 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
     else:
         f_i = np.abs(np.einsum("m,km->k", wg2, ov_i)) ** 2
         f_f = np.abs(np.einsum("m,km->k", wg2, ov_f)) ** 2
-    return FidelityCurves(t=times, f_initial=f_i, f_final=f_f, a=rf.a, mode=mode)
+    return FidelityCurves(t=times, f_initial=f_i, f_final=f_f)

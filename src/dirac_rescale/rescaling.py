@@ -10,14 +10,15 @@ substituted dynamics starts and ends in the original frame.  a = 1 is the
 identity map.
 
 A :class:`RescalingFunction` cannot be built unless :func:`check_boundary`
-passes, so no caller checks these conditions again.  In floats they fail for
-a of about 9e15 or more (at tau = 1), where df(0) = a - (a-1) rounds away from 1.
+passes, and it keeps those residuals, so no caller checks these conditions
+again.  In floats they fail for a of about 9e15 or more (at tau = 1), where
+df(0) = a - (a-1) rounds away from 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +42,8 @@ class RescalingFunction:
 
     a: float = 1.0
     tau: float = 1.0
+    #: the :func:`check_boundary` residuals, computed once when the rescaling is built
+    residuals: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.a >= 1.0):
@@ -60,6 +63,7 @@ class RescalingFunction:
         if failed:
             raise ValueError(f"rescaling fails boundary conditions at a = {self.a}, "
                              f"tau = {self.tau}: {', '.join(failed)} (tol {BOUNDARY_TOL:g})")
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def horizon(self) -> float:

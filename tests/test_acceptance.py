@@ -29,7 +29,6 @@ from dirac_rescale.floquet import (
     rescaled_floquet_equivalence,
 )
 from dirac_rescale.gauge import (
-    GaugeFrame,
     gauge_equivalence_check,
     phi_of_t,
     transformed_hamiltonian,
@@ -171,13 +170,12 @@ def test_criterion_4_gauge_equivalence():
     dz_worst = 0.0
     for a in (2.0, 4.0):
         rf = RescalingFunction(a=a, tau=TAU)
-        frame = GaugeFrame(rf=rf, c=1.2)
         ts = np.linspace(0.0, rf.horizon, 257)
         ident_worst = max(ident_worst, float(np.max(np.abs(
-            rf.df(ts) * np.cos(2.0 * phi_of_t(frame, ts)) - 1.0))))
+            rf.df(ts) * np.cos(2.0 * phi_of_t(rf, ts)) - 1.0))))
         rest = 0.7 * 1.2**2
         const_model = PauliHamiltonian.constant(dx=1.2 * 0.4, dz=rest)
-        h = transformed_hamiltonian(frame, const_model)
+        h = transformed_hamiltonian(rf, const_model)
         dz_worst = max(dz_worst, float(np.max(np.abs(h.coeffs(ts)[3] - rest))))
 
     ok = worst <= tol and ident_worst <= 1e-12 and dz_worst <= 1e-12

@@ -433,8 +433,8 @@ def test_parser_flags_follow_defaults():
 @pytest.mark.parametrize("argv", [
     # gauge-check has no mass or c; with prefix matching off, "--c" is not read as --config
     ["gauge-check", "--mass", "2"], ["gauge-check", "--c", "3"],
-    # floquet's pumping window is T0, so it has no tau
-    ["floquet", "--tau", "2"],
+    # floquet's pumping window is T0, so it has no tau; its run never reads ell
+    ["floquet", "--tau", "2"], ["floquet", "--ell", "2"],
 ])
 def test_gauge_check_has_no_mass_or_c_flag(tmp_path, argv):
     try:
@@ -449,6 +449,7 @@ def test_gauge_check_has_no_mass_or_c_flag(tmp_path, argv):
     pytest.param("gauge-check", "mass", id="mass"),
     pytest.param("gauge-check", "c", id="c"),
     pytest.param("floquet", "tau", id="floquet-tau"),
+    pytest.param("floquet", "ell", id="floquet-ell"),
 ])
 def test_gauge_check_config_has_no_mass_or_c(tmp_path, sub, key):
     cfg = tmp_path / "cfg.json"
