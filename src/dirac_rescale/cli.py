@@ -60,17 +60,12 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-#: propagator order of iontrap, gauge-check and floquet: the commutator-free
-#: fourth-order Magnus step (CF4, see dirac_rescale.propagator)
-ORDER = 4
-
 _COMMON = {"out": ".", "format": "csv", "config": None}
 
 #: every config key of each subcommand; each is also the flag --key-with-dashes,
-#: whose kind follows the type of the default (see _build_parser).  The
-#: propagating subcommands step with CF4 (ORDER); their step counts keep
-#: every check value at or below that of the midpoint rule at 4000 steps
-#: per window and 150000 per pumping cycle.
+#: whose kind follows the type of the default (see _build_parser).  The CF4
+#: step counts keep every check value at or below the midpoint rule's at
+#: 4000 steps per window and 150000 per pumping cycle.
 DEFAULTS = {
     "iontrap": {
         **_COMMON,
@@ -350,8 +345,7 @@ def _run_iontrap(cfg: dict) -> dict:
     for a in cfg["a"]:
         rf = RescalingFunction(a=a, tau=cfg["tau"])
         curves = fidelity_curves(model, rf, grid, n_times=cfg["n_times"],
-                                 n_steps=cfg["steps"], mode=cfg["fidelity_mode"],
-                                 order=ORDER)
+                                 n_steps=cfg["steps"], mode=cfg["fidelity_mode"])
         for t, fi, ff in zip(curves.t, curves.f_initial, curves.f_final):
             rows.append([a, t, fi, ff])
         terminal[_fmt(a)] = {"t": float(curves.t[-1]), "F_i": float(curves.f_initial[-1]),
@@ -370,7 +364,7 @@ def _run_gauge_check(cfg: dict) -> dict:
         rf = RescalingFunction(a=a, tau=cfg["tau"])
         res = gauge_equivalence_check(
             lambda p: build_demo_hamiltonian(model, p), rf, cfg["p"],
-            n_steps=cfg["steps"], n_check=cfg["n_check"], order=ORDER,
+            n_steps=cfg["steps"], n_check=cfg["n_check"],
         )
         for i, p in enumerate(res.momenta):
             for j, t in enumerate(res.sample_times):
@@ -394,8 +388,7 @@ def _run_floquet(cfg: dict) -> dict:
     checks: dict = {}
     if cfg["scan"] is not None:
         values = np.linspace(cfg["scan_min"], cfg["scan_max"], cfg["scan_points"])
-        energies = scan_quasienergies(params, cfg["scan"], values, cfg["period_steps"],
-                                      order=ORDER)
+        energies = scan_quasienergies(params, cfg["scan"], values, cfg["period_steps"])
         rows = []
         for v, (e1, e2) in zip(values, energies):
             # rows echo the requested value; the scan uses it zone-wrapped
@@ -410,7 +403,7 @@ def _run_floquet(cfg: dict) -> dict:
         h = build_pumping_h(params)
         for a in cfg["a"]:
             rf = RescalingFunction(a=a, tau=params.T0)
-            dev = rescaled_floquet_equivalence(h, rf, cfg["steps"], order=ORDER)
+            dev = rescaled_floquet_equivalence(h, rf, cfg["steps"])
             deviations[_fmt(a)] = dev
             worst = max(worst, dev)
         results["equivalence"] = deviations

@@ -93,7 +93,7 @@ class WeylModelParams:
                 f"pumping period T0 = {self.T0:g} is below {MIN_PUMPING_RATIO:g} drive "
                 f"periods (T = {self.T:g}); transport may not be adiabatic",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller, past the dataclass-generated __init__
             )
 
     @property
@@ -178,9 +178,9 @@ def build_pumping_h(params: WeylModelParams) -> PauliHamiltonian:
     return PauliHamiltonian(terms)
 
 
-def floquet_operator(h: PauliHamiltonian, period: float, n_steps: int, order: int = 2):
+def floquet_operator(h: PauliHamiltonian, period: float, n_steps: int):
     """One-period time-ordered propagator U_F(period <- 0)."""
-    return propagate(h, 0.0, period, n_steps, order=order)
+    return propagate(h, 0.0, period, n_steps)
 
 
 def quasienergies(u_f, period: float):
@@ -199,8 +199,7 @@ def quasienergies(u_f, period: float):
     return np.sort(energies, axis=-1)
 
 
-def scan_quasienergies(params: WeylModelParams, axis: str, values, n_steps: int,
-                       order: int = 2) -> np.ndarray:
+def scan_quasienergies(params: WeylModelParams, axis: str, values, n_steps: int) -> np.ndarray:
     """Quasienergies (n, 2) of the frozen mode with ``axis`` set to each of n values.
 
     ``axis`` is one of "k", "phi_y", "phi_z"; the values are zone-wrapped as
@@ -214,7 +213,7 @@ def scan_quasienergies(params: WeylModelParams, axis: str, values, n_steps: int,
     angles = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z}
     angles[axis] = _wrap_angle(np.atleast_1d(values))
     h = _frozen_mode_h(params, **angles)
-    u = floquet_operator(h, params.T, n_steps, order=order)
+    u = floquet_operator(h, params.T, n_steps)
     return quasienergies(u, params.T)
 
 
@@ -302,12 +301,12 @@ def linearized_h_near_touching(params: WeylModelParams,
 
 
 def rescaled_floquet_equivalence(h: PauliHamiltonian, rf: RescalingFunction,
-                                 n_steps: int, order: int = 2) -> float:
+                                 n_steps: int) -> float:
     """Operator-norm distance between U_F(tau <- 0) and the contracted run.
 
     The rescaling must be built with tau equal to the Floquet period under
-    test; the deviation vanishes at the stepper's order in the step size.
+    test; the deviation vanishes as the fourth power of the step size.
     """
-    u_orig = propagate(h, 0.0, rf.tau, n_steps, order=order)
-    u_resc = rescaled_propagate(h, rf, n_steps, order=order)
+    u_orig = propagate(h, 0.0, rf.tau, n_steps)
+    u_resc = rescaled_propagate(h, rf, n_steps)
     return float(np.linalg.norm(u_resc - u_orig, 2))

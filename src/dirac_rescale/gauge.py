@@ -147,7 +147,6 @@ def gauge_equivalence_check(
     p_list: Sequence[float],
     n_steps: int = 4000,
     n_check: int = 9,
-    order: int = 2,
 ) -> GaugeEquivalenceResult:
     """Propagate both frames and measure the mismatch of U_tilde(t) = K(t) U_frame(t).
 
@@ -173,7 +172,7 @@ def gauge_equivalence_check(
     # coefficients (..., frame, mode): the substituted run first, the rotated frame second
     h_both = PauliHamiltonian(lambda t: tuple(
         np.stack(pair, axis=-2) for pair in zip(h_tilde.coeffs(t), h_frak.coeffs(t))))
-    times, us = propagate_sampled(h_both, 0.0, rf.horizon, n_steps, sample, order=order)
+    times, us = propagate_sampled(h_both, 0.0, rf.horizon, n_steps, sample)
     mismatch = us[:, 0] - frame_unitary(rf, times)[:, None] @ us[:, 1]
     devs = np.linalg.norm(mismatch, ord=2, axis=(-2, -1)).T
     return GaugeEquivalenceResult(

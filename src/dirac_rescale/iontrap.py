@@ -168,7 +168,7 @@ class FidelityCurves:
 
 def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: WavepacketGrid,
                     n_times: int = 33, n_steps: int = 4000,
-                    mode: str = "incoherent", order: int = 2) -> FidelityCurves:
+                    mode: str = "incoherent") -> FidelityCurves:
     """Fidelity of the evolving packet against initial and target eigenstates.
 
     Per mode p the state starts in the upper instantaneous eigenstate and
@@ -199,7 +199,7 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
     chi_f = instantaneous_eigenstate(model, grid.p, model.tau)
 
     sample = sorted({int(round(j * n_steps / (n_times - 1))) for j in range(n_times)})
-    times, psis = evolve_states(h_resc, 0.0, rf.horizon, n_steps, chi_i, sample, order=order)
+    times, psis = evolve_states(h_resc, 0.0, rf.horizon, n_steps, chi_i, sample)
     if not norm_defect(psis) <= 1e-10:
         raise RuntimeError("per-mode norm drifted beyond 1e-10 during evolution")
 

@@ -75,14 +75,14 @@ def test_criterion_1_rescaling_equivalence():
             u_ref = propagate(h, 0.0, TAU, 32000)
             dev = np.linalg.norm(rescaled_propagate(h, rf, 8000) - propagate(h, 0.0, TAU, 8000), 2)
             worst = max(worst, float(dev))
-            ns = np.array([500, 1000, 2000])
+            ns = np.array([50, 100, 200])
             errs = [float(np.linalg.norm(rescaled_propagate(h, rf, int(n)) - u_ref, 2)) for n in ns]
             slopes.append(-np.polyfit(np.log(ns), np.log(errs), 1)[0])
     slope_lo, slope_hi = min(slopes), max(slopes)
-    ok = worst <= tol and all(1.8 <= s <= 2.2 for s in slopes)
+    ok = worst <= tol and all(3.8 <= s <= 4.2 for s in slopes)
     assert report(
         1, "rescaling equivalence",
-        ok, f"max dev {worst:.2e} (tol {tol:g}), slopes {slope_lo:.2f}..{slope_hi:.2f} (want ~2)",
+        ok, f"max dev {worst:.2e} (tol {tol:g}), slopes {slope_lo:.2f}..{slope_hi:.2f} (want ~4)",
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_rescale.cli import CHOICES, DEFAULTS, MIN_INT, ORDER, _build_parser, main
+from dirac_rescale.cli import CHOICES, DEFAULTS, MIN_INT, _build_parser, main
 
 
 def read(path):
@@ -586,7 +586,6 @@ def test_appendix_rejects_non_positive_mass(tmp_path, mode, mass):
 
 
 def test_propagating_defaults_use_cf4():
-    assert ORDER == 4
     steps = {"iontrap": 256, "gauge-check": 512, "floquet": 4000}
     for sub, n in steps.items():
         assert DEFAULTS[sub]["steps"] == n and "order" not in DEFAULTS[sub]
@@ -608,7 +607,7 @@ def test_iontrap_matches_library_cf4(tmp_path):
     want = []
     for a in (1.0, 3.0):
         curves = fidelity_curves(IonTrapModel(tau=1.0), RescalingFunction(a=a, tau=1.0), grid,
-                                 n_times=9, n_steps=200, order=4)
+                                 n_times=9, n_steps=200)
         want += [[a, *row] for row in zip(curves.t, curves.f_initial, curves.f_final)]
     assert rows == want
 

@@ -285,22 +285,24 @@ def test_quasimomenta_wrapped_to_zone():
 
 
 def test_short_pumping_period_warns():
-    with pytest.warns(RuntimeWarning):
+    # the warning names the line that built the params, not the dataclass __init__
+    with pytest.warns(RuntimeWarning) as record:
         params(T0=10.0)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_order_4_equivalence_and_quasienergies():
-    # CF4 passes through: the cycle deviation falls 16x per halving of the step,
+    # fourth order: the cycle deviation falls 16x per halving of the step,
     # and 256 steps per drive period give the quasienergies of a fine run
     p = params(V1=0.5, V2=0.25, k=1.1, phi_y=0.8, phi_z=0.5, phi_y0=0.8, phi_z0=0.5)
     h = build_pumping_h(p)
     rf = RescalingFunction(a=2.0, tau=p.T0)
-    devs = [rescaled_floquet_equivalence(h, rf, n, order=4) for n in (1000, 2000, 4000)]
+    devs = [rescaled_floquet_equivalence(h, rf, n) for n in (1000, 2000, 4000)]
     assert all(14.0 < x / y < 18.0 for x, y in zip(devs, devs[1:]))
     assert devs[-1] < 1e-9
     hs = build_single_mode_h(p)
-    reference = quasienergies(floquet_operator(hs, p.T, 8192, order=4), p.T)
-    coarse = quasienergies(floquet_operator(hs, p.T, 256, order=4), p.T)
+    reference = quasienergies(floquet_operator(hs, p.T, 8192), p.T)
+    coarse = quasienergies(floquet_operator(hs, p.T, 256), p.T)
     assert np.max(np.abs(coarse - reference)) < 1e-12
 
 
@@ -309,18 +311,16 @@ def test_order_4_equivalence_and_quasienergies():
     axis=st.sampled_from(["k", "phi_y", "phi_z"]),
     values=hnp.arrays(float, st.integers(1, 65), elements=st.floats(-10.0, 10.0)),
     n_steps=st.integers(1, 64),
-    order=st.sampled_from([2, 4]),
 )
-@example(axis="phi_z", values=np.linspace(-math.pi, math.pi, 65), n_steps=256, order=4)
-@example(axis="k", values=np.array([math.pi, -math.pi, 3 * math.pi, -7.0, 0.0]),
-         n_steps=16, order=2)
-def test_scan_matches_loop_bitwise(axis, values, n_steps, order):
+@example(axis="phi_z", values=np.linspace(-math.pi, math.pi, 65), n_steps=256)
+@example(axis="k", values=np.array([math.pi, -math.pi, 3 * math.pi, -7.0, 0.0]), n_steps=16)
+def test_scan_matches_loop_bitwise(axis, values, n_steps):
     # one batched propagation gives each value's quasienergies to the bit,
     # zone wrapping of values outside (-pi, pi] included
     p = params(V1=0.5, V2=0.25, k=1.1, phi_y=0.8, phi_z=0.5)
-    got = scan_quasienergies(p, axis, values, n_steps, order=order)
+    got = scan_quasienergies(p, axis, values, n_steps)
     want = [quasienergies(floquet_operator(build_single_mode_h(replace(p, **{axis: float(v)})),
-                                           p.T, n_steps, order=order), p.T)
+                                           p.T, n_steps), p.T)
             for v in values]
     assert got.shape == (values.size, 2)
     assert np.array_equal(got, np.array(want))

@@ -181,27 +181,23 @@ def test_phi_domain_error():
 
 
 def test_gauge_check_order_4():
-    # CF4 passes through: at 512 steps the frames agree far tighter than at order 2
+    # fourth order: at 512 steps the frames agree to 1e-10
     model = IonTrapModel(tau=1.0)
     rf = RescalingFunction(a=2.0, tau=1.0)
-
-    def run(order):
-        return gauge_equivalence_check(lambda p: build_demo_hamiltonian(model, p), rf,
-                                       [-1.0, 0.0, 1.0], n_steps=512,
-                                       order=order).max_deviation
-
-    assert run(4) < 1e-10 < 1e-7 < run(2)
+    res = gauge_equivalence_check(lambda p: build_demo_hamiltonian(model, p), rf,
+                                  [-1.0, 0.0, 1.0], n_steps=512)
+    assert res.max_deviation < 1e-10
 
 
-def _one_momentum_reference(rf, p, n_steps, n_check, order):
+def _one_momentum_reference(rf, p, n_steps, n_check):
     """Deviations of one momentum from two separate scalar-p propagations."""
     model = IonTrapModel(tau=rf.tau)
     h = build_demo_hamiltonian(model, float(p))
     sample = [int(round(j * n_steps / (n_check - 1))) for j in range(n_check)]
     times, u_tilde = propagate_sampled(time_rescaled(h, rf), 0.0, rf.horizon, n_steps,
-                                       sample, order=order)
+                                       sample)
     _, u_frak = propagate_sampled(transformed_hamiltonian(rf, h), 0.0, rf.horizon,
-                                  n_steps, sample, order=order)
+                                  n_steps, sample)
     mismatch = u_tilde - np.matmul(frame_unitary(rf, times), u_frak)
     return times, np.linalg.norm(mismatch, ord=2, axis=(-2, -1))
 
@@ -211,10 +207,9 @@ def _one_momentum_reference(rf, p, n_steps, n_check, order):
     p=hnp.arrays(float, st.integers(1, 7), elements=st.floats(-1.5, 1.5)),
     a=st.floats(1.0, 8.0),
     n_steps=st.integers(2, 96),
-    order=st.sampled_from([2, 4]),
 )
-@example(p=np.array([-0.9, -0.3, 0.1, 0.5, 0.77]), a=4.0, n_steps=512, order=4)
-def test_gauge_check_batch_matches_single_momenta_bitwise(p, a, n_steps, order):
+@example(p=np.array([-0.9, -0.3, 0.1, 0.5, 0.77]), a=4.0, n_steps=512)
+def test_gauge_check_batch_matches_single_momenta_bitwise(p, a, n_steps):
     # all momenta and both frames in one propagation give each momentum's
     # deviations to the bit, as one-momentum calls and as scalar-p runs do
     rf = RescalingFunction(a=a, tau=1.0)
@@ -222,14 +217,14 @@ def test_gauge_check_batch_matches_single_momenta_bitwise(p, a, n_steps, order):
 
     def run(ps):
         return gauge_equivalence_check(demo_builder(), rf, ps, n_steps=n_steps,
-                                       n_check=n_check, order=order)
+                                       n_check=n_check)
 
     batch = run(p)
     singles = [run([v]) for v in p]
     assert np.array_equal(batch.momenta, p)
     assert np.array_equal(batch.deviations, np.concatenate([s.deviations for s in singles]))
     assert all(np.array_equal(batch.sample_times, s.sample_times) for s in singles)
-    times, devs = _one_momentum_reference(rf, p[0], n_steps, n_check, order)
+    times, devs = _one_momentum_reference(rf, p[0], n_steps, n_check)
     assert np.array_equal(batch.sample_times, times)
     assert np.array_equal(batch.deviations[0], devs)
 

@@ -190,7 +190,7 @@ def test_degenerate_grid_mode_warning():
 def test_norm_guard_catches_nan(monkeypatch):
     import dirac_rescale.iontrap as iontrap
 
-    def nan_states(h, t0, t1, n_steps, psi0, sample, order=2):
+    def nan_states(h, t0, t1, n_steps, psi0, sample):
         return np.zeros(len(sample)), np.full((len(sample),) + np.shape(psi0), np.nan, dtype=complex)
 
     monkeypatch.setattr(iontrap, "evolve_states", nan_states)
@@ -251,29 +251,11 @@ def test_fidelity_accepts_one_sample_per_step(n_times, n_steps):
 
 
 def test_fidelity_order_4_matches_fine_reference():
-    # CF4 at 256 steps is within 1e-10 of a fine run; the midpoint rule at 256 is not
+    # fourth order: 256 steps are within 1e-10 of a fine run
     model = IonTrapModel(tau=1.0)
     rf = RescalingFunction(a=4.0, tau=1.0)
     grid = WavepacketGrid.gaussian(n_points=33)
-    reference = fidelity_curves(model, rf, grid, n_steps=8192, order=4)
-
-    def error(n_steps, order):
-        c = fidelity_curves(model, rf, grid, n_steps=n_steps, order=order)
-        return max(np.max(np.abs(c.f_initial - reference.f_initial)),
-                   np.max(np.abs(c.f_final - reference.f_final)))
-
-    assert error(256, 4) < 1e-10 < 1e-7 < error(256, 2)
-
-
-def test_fidelity_default_is_midpoint():
-    # the library default (order 2) is the midpoint rule that wrote the
-    # midpoint-era artifacts, bit for bit; CF4 is opt-in
-    model = IonTrapModel(tau=1.0)
-    rf = RescalingFunction(a=2.0, tau=1.0)
-    grid = WavepacketGrid.gaussian(n_points=9)
-    default = fidelity_curves(model, rf, grid, n_times=5, n_steps=400)
-    midpoint = fidelity_curves(model, rf, grid, n_times=5, n_steps=400, order=2)
-    cf4 = fidelity_curves(model, rf, grid, n_times=5, n_steps=400, order=4)
-    for name in ("t", "f_initial", "f_final"):
-        assert np.array_equal(getattr(default, name), getattr(midpoint, name))
-    assert not np.array_equal(default.f_final, cf4.f_final)
+    reference = fidelity_curves(model, rf, grid, n_steps=8192)
+    coarse = fidelity_curves(model, rf, grid, n_steps=256)
+    assert np.max(np.abs(coarse.f_initial - reference.f_initial)) < 1e-10
+    assert np.max(np.abs(coarse.f_final - reference.f_final)) < 1e-10

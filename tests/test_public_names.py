@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import sys
 import types
@@ -28,6 +29,18 @@ def test_package_exports_exactly_the_library_modules_all():
     exported = {name for name, value in vars(dirac_rescale).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == {name for module in library for name in module.__all__}
+
+
+def test_one_stepper_without_an_order_knob():
+    # CF4 is the only propagator step: no public callable selects a stepper,
+    # and the propagator keeps no table of them
+    for m in MODULES[:-1]:
+        module = importlib.import_module(f"dirac_rescale.{m}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):
+                assert "order" not in inspect.signature(obj).parameters, f"{m}.{name}"
+    assert not hasattr(importlib.import_module("dirac_rescale.propagator"), "_STEPPERS")
 
 
 def test_tracer_targets_resolve(monkeypatch):
