@@ -16,7 +16,8 @@ t0 + k*h + h/2.  :func:`evolve_classical` steps a batch of (..., 2) states
 together, row by row independent.  The appendix check evaluates the
 rescaling and every coefficient once on that grid, as vectorised calls, and
 steps the original and transformed flows side by side on four Python floats
-(x, p, xbar, pbar), with the arithmetic of the batched loop, bit for bit.
+(x, p, xbar, pbar), bit for bit the arithmetic of :func:`evolve_classical` on
+the stacked pair, with dV called on one float at a time.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ __all__ = [
 class ClassicalModel:
     """Mass, scale factor gamma(t) > 0 and the derivative dV of the shape V(u).
 
-    dV takes an array u and returns an array of the same shape.
+    dV takes a float u and returns a float.
     """
 
     m: float
@@ -70,7 +71,7 @@ def harmonic_model(tau: float = 1.0, m: float = 1.0) -> ClassicalModel:
 
 def quartic_model(tau: float = 1.0, m: float = 1.0) -> ClassicalModel:
     return ClassicalModel(m=m, gamma=_default_gamma(tau),
-                          dV=lambda u: 4.0 * u**3, label="quartic")
+                          dV=lambda u: 4.0 * u * u * u, label="quartic")
 
 
 def h1h2(rf: RescalingFunction, t, m: float = 1.0):
@@ -151,36 +152,6 @@ def _stage_times(t0: float, t1: float, n_steps: int):
     return ts, h
 
 
-def _rk4(rhs: Callable, y0: np.ndarray, ts: np.ndarray, h: float, record_every: int):
-    """Fixed-step RK4 over the stage grid ``ts``; rhs(j, y) is dy/dt at ts[j].
-
-    Returns (times, trajectory) sampled every ``record_every`` steps and at
-    the last step; y0 may hold any batch of states.
-
-    Only :func:`evolve_classical` steps through here.  The appendix check has
-    its own loop on four Python floats: on a (2, 2) state each numpy call
-    costs more than the arithmetic it does, so that loop is about 3x faster,
-    while this one serves any batch shape and any callable.
-    """
-    n_steps = (len(ts) - 1) // 2
-    y = np.array(y0, dtype=float)
-    recorded = [0]
-    traj = [y]
-    for k in range(n_steps):
-        j = 2 * k
-        k1 = rhs(j, y)
-        k2 = rhs(j + 1, y + h / 2.0 * k1)
-        k3 = rhs(j + 1, y + h / 2.0 * k2)
-        k4 = rhs(j + 2, y + h * k3)
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.abs(y) <= _OVERFLOW_GUARD):
-            raise RuntimeError(f"trajectory diverged at t = {ts[j + 2]:g}")
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            recorded.append(j + 2)
-            traj.append(y)
-    return ts[recorded], np.asarray(traj)
-
-
 def evolve_classical(dH_dp: Callable, dH_dx: Callable, state0, t0: float,
                      t1: float, n_steps: int, n_record: int | None = None):
     """Fixed-step RK4 for xdot = dH/dp, pdot = -dH/dx.
@@ -197,9 +168,9 @@ def evolve_classical(dH_dp: Callable, dH_dx: Callable, state0, t0: float,
     n_record = n_steps if n_record is None else n_record
     if n_record < 1:
         raise ValueError("n_record must be at least 1")
-    y0 = np.asarray(state0, dtype=float)
-    if y0.ndim == 0 or y0.shape[-1] != 2:
-        raise ValueError(f"state must have shape (..., 2), got {y0.shape}")
+    y = np.asarray(state0, dtype=float)
+    if y.ndim == 0 or y.shape[-1] != 2:
+        raise ValueError(f"state must have shape (..., 2), got {y.shape}")
 
     def rhs(j, y):
         x, p, t = y[..., 0], y[..., 1], ts[j]
@@ -208,7 +179,21 @@ def evolve_classical(dH_dp: Callable, dH_dx: Callable, state0, t0: float,
         out[..., 1] = -dH_dx(x, p, t)
         return out
 
-    return _rk4(rhs, y0, ts, h, max(1, n_steps // n_record))
+    record_every = max(1, n_steps // n_record)
+    recorded, traj = [0], [y]
+    for k in range(n_steps):
+        j = 2 * k
+        k1 = rhs(j, y)
+        k2 = rhs(j + 1, y + h / 2.0 * k1)
+        k3 = rhs(j + 1, y + h / 2.0 * k2)
+        k4 = rhs(j + 2, y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.abs(y) <= _OVERFLOW_GUARD):
+            raise RuntimeError(f"trajectory diverged at t = {ts[j + 2]:g}")
+        if (k + 1) % record_every == 0 or k + 1 == n_steps:
+            recorded.append(j + 2)
+            traj.append(y)
+    return ts[recorded], np.asarray(traj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,14 +238,12 @@ def appendix_equivalence_check(model: ClassicalModel, rf: RescalingFunction,
     K0, K1 = 0.0, memoryview(2.0 * kappa(rf, ts, m))
 
     def rhs(j, x0, p0, x1, p1):
-        # dV sees one 2-element array, as numpy rounds the powers of arrays
-        # and of Python floats differently
-        f0, f1 = dV(np.array((B0[j] * x0, B1[j] * x1))).tolist()
-        return (P0[j] * p0, -(A0[j] * f0 + K0 * x0),
-                P1 * p1, -(A1[j] * f1 + K1[j] * x1))
+        return (P0[j] * p0, -(A0[j] * dV(B0[j] * x0) + K0 * x0),
+                P1 * p1, -(A1[j] * dV(B1[j] * x1) + K1[j] * x1))
 
-    # RK4 on plain floats (x0, p0, x1, p1), stage for stage the arithmetic
-    # of _rk4 on the stacked (2, 2) state, so the bits are the same
+    # RK4 on plain floats (x0, p0, x1, p1), stage for stage the arithmetic of
+    # evolve_classical on the stacked (2, 2) state, so the bits are the same;
+    # on so small a state each numpy call costs more than the arithmetic it does
     traj = np.empty((n_steps + 1, 4))
     x0, p0 = y0.tolist()
     x1, p1 = canonical_map(y0, rf, 0.0, m).tolist()

@@ -33,8 +33,8 @@ Steps are composed with the Hamilton product in plain real arithmetic (the
 phases add), by a fixed-order pairwise reduction over blocks of a fixed
 number of steps, so a mode's result is bitwise the same alone or inside
 any batch.  The unitarity check is |q|^2 - 1 of the composed quaternion.
-Complex (..., 2, 2) matrices are built only at the API boundary: for the
-propagators returned and, once per sample, to apply to spinors.
+Complex (..., 2, 2) matrices are built only at the API boundary, once per
+call: for the propagators returned, or to apply to spinors.
 """
 
 from __future__ import annotations
@@ -227,10 +227,8 @@ def _cf4_records(h, t0, dt, lo, hi):
     """
     ts = t0 + (np.arange(lo, hi, dtype=float) + _CF4_NODES) * dt
     coeffs = h.coeffs(ts)
-    # a2 < 0, so an infinite coefficient gives inf - inf: the unitarity check reports it
-    with np.errstate(invalid="ignore", over="ignore"):
-        first = _su2_step(*(_CF4_A1 * c[0] + _CF4_A2 * c[1] for c in coeffs), dt)
-        second = _su2_step(*(_CF4_A2 * c[0] + _CF4_A1 * c[1] for c in coeffs), dt)
+    first = _su2_step(*(_CF4_A1 * c[0] + _CF4_A2 * c[1] for c in coeffs), dt)
+    second = _su2_step(*(_CF4_A2 * c[0] + _CF4_A1 * c[1] for c in coeffs), dt)
     return _compose(second, first)
 
 
@@ -247,7 +245,8 @@ def _checked_args(t0, t1, n_steps, sample_steps):
 
 
 def _sampled_records(h, t0, t1, n_steps, sample_steps):
-    """Sample times and the records of U(t0 + k*dt <- t0) at each sample index k.
+    """Sample times and the records (5, n_samples, *batch) of U(t0 + k*dt <- t0)
+    at each sample index k.
 
     CF4 steps are built and composed in blocks of _BLOCK_STEPS from the
     previous sample, and each sampled record must be unit to
@@ -256,26 +255,29 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps):
     dt, idx = _checked_args(t0, t1, n_steps, sample_steps)
     u = np.zeros((5,) + np.shape(h.coeffs(t0 + 0.5 * dt)[0]))
     u[0] = 1.0
-    records = []
+    records = np.empty((5, len(idx)) + u.shape[1:])
     prev = 0
-    for k in idx:
-        for lo in range(prev, k, _BLOCK_STEPS):
-            steps = _cf4_records(h, t0, dt, lo, min(lo + _BLOCK_STEPS, k))
-            u = _compose(_ordered_product(steps), u)
-        prev = k
-        w, x, y, z, phase = u
-        # 0 * phase is NaN for a non-finite phase, so the check fails on it too
-        defect = float(np.max(np.abs(w * w + x * x + y * y + z * z - 1.0) + 0.0 * phase))
-        if not defect <= _UNITARITY_TOL:
-            raise UnitarityError(defect, _UNITARITY_TOL)
-        records.append(u)
+    # inf or NaN from coefficients too large for the step (a2 < 0 makes inf - inf,
+    # huge phases overflow as they add) is left to the unitarity check
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, k in enumerate(idx):
+            for lo in range(prev, k, _BLOCK_STEPS):
+                steps = _cf4_records(h, t0, dt, lo, min(lo + _BLOCK_STEPS, k))
+                u = _compose(_ordered_product(steps), u)
+            prev = k
+            w, x, y, z, phase = u
+            # 0 * phase is NaN for a non-finite phase, so the check fails on it too
+            defect = float(np.max(np.abs(w * w + x * x + y * y + z * z - 1.0) + 0.0 * phase))
+            if not defect <= _UNITARITY_TOL:
+                raise UnitarityError(defect, _UNITARITY_TOL)
+            records[:, i] = u
     return t0 + np.asarray(idx, dtype=float) * dt, records
 
 
 def propagate(h: PauliHamiltonian, t0: float, t1: float, n_steps: int):
     """Time-ordered propagator U(t1 <- t0) from n_steps CF4 steps."""
-    _, (u,) = _sampled_records(h, t0, t1, n_steps, [n_steps])
-    return _to_matrix(u)
+    _, records = _sampled_records(h, t0, t1, n_steps, [n_steps])
+    return _to_matrix(records[:, 0])
 
 
 def propagate_sampled(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
@@ -285,14 +287,15 @@ def propagate_sampled(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
     Returns (times, us) with us[j] = U(t0 + sample_steps[j]*dt <- t0).
     """
     times, records = _sampled_records(h, t0, t1, n_steps, sample_steps)
-    return times, np.array([_to_matrix(u) for u in records])
+    return times, _to_matrix(records)
 
 
 def evolve_states(h: PauliHamiltonian, t0: float, t1: float, n_steps: int,
                   psi0, sample_steps: Sequence[int]):
     """Evolve spinor batch psi0 (..., 2), recording at the given step indices."""
     times, records = _sampled_records(h, t0, t1, n_steps, sample_steps)
-    return times, np.array([evolve_state(_to_matrix(u), psi0) for u in records])
+    # the sample axis leads, ahead of the batch axes of both U and psi0
+    return times, np.einsum("s...ij,...j->s...i", _to_matrix(records), psi0)
 
 
 def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:

@@ -153,6 +153,10 @@ def test_propagate_unitarity_error_signal():
     h = PauliHamiltonian(lambda t: (0.0, np.inf, 0.0, 0.0))
     with pytest.raises((UnitarityError, ValueError)):
         propagate(h, 0.0, 1.0, 2)
+    # finite, but the step phases overflow as they add: no warning on the way
+    h = PauliHamiltonian(lambda t: (1e308, 1.0, 0.0, 0.0))
+    with pytest.raises(UnitarityError):
+        propagate(h, 0.0, 10.0, 4)
 
 
 @pytest.mark.parametrize("h", [
@@ -249,14 +253,16 @@ def test_propagate_sampled_consistency():
 
 
 def test_evolve_states_matches_unitaries():
-    p = np.array([-0.2, 0.5])
-    h = demo_hamiltonian(p)
     psi0 = np.array([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]], dtype=complex)
-    times, psis = evolve_states(h, 0.0, 1.0, 300, psi0, [150, 300])
-    _, us = propagate_sampled(h, 0.0, 1.0, 300, [150, 300])
-    for j in range(2):
-        np.testing.assert_allclose(psis[j], evolve_state(us[j], psi0), atol=1e-13)
-    assert norm_defect(psis) < 1e-12
+    # one spinor per mode, then one mode whose propagator acts on both spinors
+    for p in (np.array([-0.2, 0.5]), 0.3):
+        h = demo_hamiltonian(p)
+        times, psis = evolve_states(h, 0.0, 1.0, 300, psi0, [150, 300])
+        _, us = propagate_sampled(h, 0.0, 1.0, 300, [150, 300])
+        assert psis.shape == (2, 2, 2)
+        for j in range(2):
+            np.testing.assert_allclose(psis[j], evolve_state(us[j], psi0), atol=1e-13)
+        assert norm_defect(psis) < 1e-12
 
 
 def test_determinism_bit_identical():
