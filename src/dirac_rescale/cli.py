@@ -52,7 +52,7 @@ EXIT_TOLERANCE = 3
 EXIT_IO = 4
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -137,35 +137,34 @@ DEFAULTS = {
 }
 
 
-#: allowed values of the string-valued keys, for flags and config files alike
-CHOICES = {
-    "format": ["csv", "json"],
-    "fidelity_mode": ["incoherent", "coherent"],
-    "scan": ["k", "phi_y", "phi_z"],
-    "mode": ["classical", "coeffs"],
-    "potential": ["harmonic", "quartic"],
-}
-
-#: smallest allowed value of the integer keys
-MIN_INT = {
-    "steps": 1, "n_times": 2, "grid_points": 3, "n_check": 2,
-    "scan_points": 2, "period_steps": 1, "n_record": 1, "n_samples": 2,
-}
-
-#: flag help by config key, worded for every subcommand that has the key
-HELP = {
-    "a": "contraction factor(s); repeat for several runs",
-    "tau": "original process duration",
-    "steps": "time steps per window",
-    "out": "output directory",
-    "config": "JSON config file; flags override",
-    "format": "table format (summary is always JSON)",
-    "p0": "initial momentum (iontrap: packet centre)",
-    "sigma_p": "packet width",
-    "p": "momentum mode(s); repeat for several",
-    "equivalence": "also compare the contracted pumping cycle to the original",
-    "scan": "write a quasienergy scan along this axis",
-    "period_steps": "steps per drive period in scans",
+#: each key's bound and flag help, for every subcommand that has the key.  The
+#: bound is the list of allowed strings, the smallest allowed number, or
+#: "positive"; None is neither.  A key with no bound and no help has no entry.
+#: a and tau have no bound here: main builds every RescalingFunction before any
+#: work, and it refuses a < 1 and tau <= 0 itself.  floquet rescales T0, so T0
+#: is bounded here, where its message can name T0.
+KEYS = {
+    "a": (None, "contraction factor(s); repeat for several runs"),
+    "tau": (None, "original process duration"),
+    "T0": ("positive", "pumping window, the duration that --a contracts"),
+    "steps": (1, "time steps per window"),
+    "out": (None, "output directory"),
+    "config": (None, "JSON config file; flags override"),
+    "format": (["csv", "json"], "table format (summary is always JSON)"),
+    "p0": (None, "initial momentum (iontrap: packet centre)"),
+    # WavepacketGrid.gaussian refuses it too, but only after the rescalings are built
+    "sigma_p": ("positive", "packet width"),
+    "p": (None, "momentum mode(s); repeat for several"),
+    "equivalence": (None, "also compare the contracted pumping cycle to the original"),
+    "scan": (["k", "phi_y", "phi_z"], "write a quasienergy scan along this axis"),
+    "period_steps": (1, "steps per drive period in scans"),
+    "n_times": (2, None), "grid_points": (3, None), "n_check": (2, None),
+    "scan_points": (2, None), "n_record": (1, None), "n_samples": (2, None),
+    "fidelity_mode": (["incoherent", "coherent"], None),
+    "mode": (["classical", "coeffs"], None),
+    "potential": (["harmonic", "quartic"], None),
+    # appendix --mode coeffs builds no ClassicalModel, which would refuse it
+    "mass": ("positive", None),
 }
 
 
@@ -180,6 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # no prefix matching: a mistyped or removed flag fails as unknown
         sp = sub.add_parser(name, help=_RUNNERS[name].__doc__, allow_abbrev=False)
         for key, default in defaults.items():
+            bound, help_text = KEYS.get(key, (None, None))
             if isinstance(default, bool):
                 kind = {"action": "store_const", "const": True}
             elif isinstance(default, list):
@@ -187,9 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
             elif isinstance(default, (int, float)):
                 kind = {"type": type(default)}
             else:
-                kind = {"choices": CHOICES.get(key)}
+                kind = {"choices": bound}
             sp.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
-                            help=HELP.get(key), **kind)
+                            help=help_text, **kind)
     return parser
 
 
@@ -241,7 +241,7 @@ def _file_value(key: str, value, default):
     if default is None or isinstance(default, str):
         if value is None and default is None:
             return None
-        choices = CHOICES.get(key)
+        choices = KEYS.get(key, (None,))[0]
         if not isinstance(value, str) or (choices and value not in choices):
             wanted = f"one of {', '.join(choices)}" if choices else "a string"
             raise ConfigError(f"{key}: must be {wanted}, got {value!r}")
@@ -253,28 +253,21 @@ def _file_value(key: str, value, default):
 
 def _validate(sub: str, cfg: dict) -> None:
     for key, value in cfg.items():
+        bound = KEYS.get(key, (None,))[0]
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{key}: must be finite, got {v}")
             if type(v) is int:
                 _as_float(key, v)  # an int past float range fails as a float would
-    for key, low in MIN_INT.items():
-        if key in cfg and cfg[key] < low:
-            raise ConfigError(f"{key}: must be >= {low}, got {cfg[key]}")
-    for v in cfg["a"]:
-        if v < 1.0:
-            raise ConfigError(f"a: contraction factor must be >= 1, got {v}")
-    if "tau" in cfg and not cfg["tau"] > 0:
-        raise ConfigError(f"tau: must be positive, got {cfg['tau']}")
+            if bound == "positive" and not v > 0:
+                raise ConfigError(f"{key}: must be positive, got {v}")
+            if isinstance(bound, (int, float)) and v < bound:
+                raise ConfigError(f"{key}: must be >= {bound}, got {v}")
     # each sample is a step index in [0, steps]
     for key in ("n_times", "n_check"):
         if key in cfg and cfg[key] > cfg["steps"] + 1:
             raise ConfigError(f"{key}: must be <= steps + 1 = {cfg['steps'] + 1}, "
                               f"got {cfg[key]}")
-    if sub == "iontrap" and not cfg["sigma_p"] > 0:
-        raise ConfigError("sigma_p: must be positive")
-    if sub == "appendix" and not cfg["mass"] > 0:
-        raise ConfigError(f"mass: must be positive, got {cfg['mass']}")
     if sub == "floquet" and cfg["scan"] is None and not cfg["equivalence"]:
         cfg["scan"] = "phi_z"
 
@@ -335,15 +328,14 @@ def _check(value: float, tol: float) -> dict:
     return {"value": value, "tol": tol, "passed": value <= tol}
 
 
-def _run_iontrap(cfg: dict) -> dict:
+def _run_iontrap(cfg: dict, rfs: list) -> dict:
     """Fidelity curves of the rescaled ramp."""
     model = IonTrapModel(tau=cfg["tau"])
     grid = WavepacketGrid.gaussian(p0=cfg["p0"], sigma_p=cfg["sigma_p"],
                                    n_points=cfg["grid_points"])
     rows = []
     terminal = {}
-    for a in cfg["a"]:
-        rf = RescalingFunction(a=a, tau=cfg["tau"])
+    for a, rf in zip(cfg["a"], rfs):
         curves = fidelity_curves(model, rf, grid, n_times=cfg["n_times"],
                                  n_steps=cfg["steps"], mode=cfg["fidelity_mode"])
         for t, fi, ff in zip(curves.t, curves.f_initial, curves.f_final):
@@ -354,14 +346,13 @@ def _run_iontrap(cfg: dict) -> dict:
             "results": {"terminal": terminal}, "checks": {}}
 
 
-def _run_gauge_check(cfg: dict) -> dict:
+def _run_gauge_check(cfg: dict, rfs: list) -> dict:
     """Frame-equivalence deviation report."""
     model = IonTrapModel(tau=cfg["tau"])
     rows = []
     deviations = {}
     worst = 0.0
-    for a in cfg["a"]:
-        rf = RescalingFunction(a=a, tau=cfg["tau"])
+    for a, rf in zip(cfg["a"], rfs):
         res = gauge_equivalence_check(
             lambda p: build_demo_hamiltonian(model, p), rf, cfg["p"],
             n_steps=cfg["steps"], n_check=cfg["n_check"],
@@ -376,7 +367,7 @@ def _run_gauge_check(cfg: dict) -> dict:
             "checks": {"frame_equivalence": _check(worst, cfg["tol"])}}
 
 
-def _run_floquet(cfg: dict) -> dict:
+def _run_floquet(cfg: dict, rfs: list) -> dict:
     """Quasienergy scans and the contracted-cycle identity."""
     params = WeylModelParams(
         J=cfg["J"], lam=cfg["lam"], V1=cfg["V1"], V2=cfg["V2"], Omega=cfg["Omega"],
@@ -401,8 +392,7 @@ def _run_floquet(cfg: dict) -> dict:
         deviations = {}
         worst = 0.0
         h = build_pumping_h(params)
-        for a in cfg["a"]:
-            rf = RescalingFunction(a=a, tau=params.T0)
+        for a, rf in zip(cfg["a"], rfs):
             dev = rescaled_floquet_equivalence(h, rf, cfg["steps"])
             deviations[_fmt(a)] = dev
             worst = max(worst, dev)
@@ -411,7 +401,7 @@ def _run_floquet(cfg: dict) -> dict:
     return {"tables": tables, "results": results, "checks": checks}
 
 
-def _run_appendix(cfg: dict) -> dict:
+def _run_appendix(cfg: dict, rfs: list) -> dict:
     """Canonical-transformation checks."""
     tables: dict = {}
     results: dict = {}
@@ -420,8 +410,7 @@ def _run_appendix(cfg: dict) -> dict:
         factory = harmonic_model if cfg["potential"] == "harmonic" else quartic_model
         model = factory(tau=cfg["tau"], m=cfg["mass"])
         worst = {}
-        for a in cfg["a"]:
-            rf = RescalingFunction(a=a, tau=cfg["tau"])
+        for a, rf in zip(cfg["a"], rfs):
             res = appendix_equivalence_check(model, rf, state0=(cfg["x0"], cfg["p0"]),
                                              n_steps=cfg["steps"])
             stride = max(1, len(res.times) // cfg["n_record"])
@@ -435,8 +424,7 @@ def _run_appendix(cfg: dict) -> dict:
         checks["trajectory_equivalence"] = _check(max(worst.values()), cfg["tol"])
     else:
         rows = []
-        for a in cfg["a"]:
-            rf = RescalingFunction(a=a, tau=cfg["tau"])
+        for a, rf in zip(cfg["a"], rfs):
             ts = np.linspace(0.0, rf.horizon, cfg["n_record"])
             columns = (ts, *h1h2(rf, ts, cfg["mass"]), kappa(rf, ts, cfg["mass"]),
                        *quantum_coeffs(rf, ts))
@@ -447,13 +435,12 @@ def _run_appendix(cfg: dict) -> dict:
     return {"tables": tables, "results": results, "checks": checks}
 
 
-def _run_rescale_info(cfg: dict) -> dict:
+def _run_rescale_info(cfg: dict, rfs: list) -> dict:
     """Rescaling samples and boundary report."""
     results: dict = {}
     checks: dict = {}
     rows = []
-    for a in cfg["a"]:
-        rf = RescalingFunction(a=a, tau=cfg["tau"])
+    for a, rf in zip(cfg["a"], rfs):
         ts = np.linspace(0.0, rf.horizon, cfg["n_samples"])
         columns = (ts, rf.f(ts), rf.df(ts), rf.d2f(ts), rf.d3f(ts))
         rows.extend([a, *row] for row in zip(*columns))
@@ -480,7 +467,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-    except ConfigError as exc:
+        # every rescaling is built, and so checked, before --out exists
+        tau = cfg["T0"] if args.subcommand == "floquet" else cfg["tau"]
+        rfs = [RescalingFunction(a=a, tau=tau) for a in cfg["a"]]
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -488,7 +478,7 @@ def main(argv=None) -> int:
         try:
             # a non-finite value fails the run below, so numpy need not warn of it first
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                outcome = _RUNNERS[args.subcommand](cfg)
+                outcome = _RUNNERS[args.subcommand](cfg, rfs)
             files = {f"{name}.{cfg['format']}": _table_text(header, rows, cfg["format"])
                      for name, (header, rows) in outcome["tables"].items()}
             failed = sorted(name for name, c in outcome["checks"].items() if not c["passed"])

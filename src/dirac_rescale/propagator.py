@@ -58,7 +58,6 @@ __all__ = [
     "evolve_states",
     "time_rescaled",
     "rescaled_propagate",
-    "evolve_state",
     "unitarity_defect",
     "norm_defect",
 ]
@@ -312,11 +311,6 @@ def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
 def rescaled_propagate(h: PauliHamiltonian, rf, n_steps: int):
     """Propagate df(s)*H(f(s)) over [0, tau/a]; equals U(tau <- 0) of H exactly."""
     return propagate(time_rescaled(h, rf), 0.0, rf.horizon, n_steps)
-
-
-def evolve_state(u, spinor):
-    """Apply U to a two-component state (batched over leading axes)."""
-    return np.einsum("...ij,...j->...i", np.asarray(u), np.asarray(spinor, dtype=complex))
 
 
 def unitarity_defect(u) -> float:

@@ -47,9 +47,9 @@ class RescalingFunction:
 
     def __post_init__(self):
         if not (self.a >= 1.0):
-            raise ValueError(f"contraction factor must satisfy a >= 1, got {self.a}")
+            raise ValueError(f"a: contraction factor must be >= 1, got {self.a}")
         if not (self.tau > 0.0):
-            raise ValueError(f"process duration must be positive, got {self.tau}")
+            raise ValueError(f"tau: must be positive, got {self.tau}")
         # below about 5e-315 the spacing of floats exceeds the slack of _check_domain
         horizon = self.tau / self.a
         if math.ulp(horizon) > _DOMAIN_SLACK * horizon:

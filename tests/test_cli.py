@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_rescale.cli import CHOICES, DEFAULTS, MIN_INT, _build_parser, main
+from dirac_rescale import cli
+from dirac_rescale.cli import DEFAULTS, KEYS, _build_parser, main
 
 
 def read(path):
@@ -320,7 +321,11 @@ def test_out_of_range_input_fails_without_numpy_warning(tmp_path, capsys, argv, 
     # on stderr and publishes nothing; numpy does not warn on the way
     out = tmp_path / "run"
     assert main([*argv.split(), "--out", str(out)]) == code
-    assert os.listdir(out) == []
+    # a rescaling is refused before --out exists; the other runs fail inside it
+    if err.startswith("error: rescaling"):
+        assert not out.exists()
+    else:
+        assert os.listdir(out) == []
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(err)
 
@@ -346,10 +351,10 @@ def test_huge_coefficients_blame_float_range(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", ["rescale-info --tau 1e-320",
                                   "appendix --mode coeffs --tau 1e-320"])
 def test_subnormal_horizon_is_config_error(tmp_path, capsys, argv):
-    # the message names tau and a, not a sample time
+    # the message names tau and a, not a sample time, and --out is never made
     out = tmp_path / "run"
     assert main([*argv.split(), "--out", str(out)]) == 2
-    assert os.listdir(out) == []
+    assert not out.exists()
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: horizon tau/a = 1e-320/2.0 is too small: floats that small "
                      "are spaced wider than 1e-09 * tau/a"]
@@ -371,12 +376,39 @@ def test_boundary_check_scales_with_tau_not_a(tmp_path, argv, code):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_appendix_coeffs_overflow_is_config_error(tmp_path, capsys, fmt):
     # a finite but huge a fails the boundary check before any coefficient
-    # is computed: exit 2, no numpy warning, nothing published
+    # is computed: exit 2, no numpy warning, no --out made
     out = tmp_path / "run"
     argv = ["appendix", "--mode", "coeffs", "--a", "1e300", "--format", fmt]
     assert main([*argv, "--out", str(out)]) == 2
-    assert os.listdir(out) == []
+    assert not out.exists()
     assert "boundary conditions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,stage,err", [
+    ("iontrap --a 1 --a 1e16", "fidelity_curves",
+     "error: rescaling fails boundary conditions at a = 1e+16, tau = 1.0: "),
+    ("floquet --a 1e16", "scan_quasienergies",
+     "error: rescaling fails boundary conditions at a = 1e+16, tau = 50.0: "),
+    ("iontrap --a 1 --a 0.5", "fidelity_curves", "error: a: contraction factor must be >= 1, got 0.5"),
+    ("gauge-check --tau 0", "gauge_equivalence_check", "error: tau: must be positive, got 0.0"),
+    ("floquet --equivalence --T0 -1", "rescaled_floquet_equivalence",
+     "error: T0: must be positive, got -1.0"),
+    # WavepacketGrid.gaussian would refuse it too, but only inside the run
+    ("iontrap --sigma-p 0", "fidelity_curves", "error: sigma_p: must be positive, got 0.0"),
+], ids=["iontrap-a=1e16", "floquet-a=1e16", "iontrap-a=0.5", "gauge-check-tau=0",
+        "floquet-T0=-1", "iontrap-sigma_p=0"])
+def test_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, stage, err):
+    # every bound and every a's rescaling is checked before --out exists and
+    # before the first a's run starts
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{stage} ran before every rescaling was built")
+
+    monkeypatch.setattr(cli, stage, forbidden)
+    out = tmp_path / "run"
+    assert main([*argv.split(), "--out", str(out)]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(err)
 
 
 def test_back_to_back_runs_match_lone_runs(tmp_path, monkeypatch):
@@ -424,7 +456,7 @@ def test_parser_flags_follow_defaults():
             elif isinstance(default, (int, float)):
                 argv, want = [_flag(key), "7"], type(default)(7)
             else:
-                want = CHOICES.get(key, ["x"])[-1]
+                want = (_BOUNDS.get(key) or ["x"])[-1]
                 argv = [_flag(key), want]
             value = getattr(parser.parse_args([sub, *argv]), key)
             assert value == want and type(value) is type(want), (sub, key)
@@ -459,18 +491,40 @@ def test_gauge_check_config_has_no_mass_or_c(tmp_path, sub, key):
     assert not out.exists()
 
 
-_LOWER_BOUNDS = {
-    "steps": 1, "n_times": 2, "grid_points": 3, "n_check": 2,
-    "scan_points": 2, "period_steps": 1, "n_record": 1, "n_samples": 2,
-}
+#: every bounded key: KEYS's bounds, and the two that RescalingFunction checks
+#: when main builds it, before --out exists
+_BOUNDS = {**{key: bound for key, (bound, _) in KEYS.items() if bound is not None},
+           "a": 1.0, "tau": "positive"}
+
+
+def test_keys_table_covers_every_bounded_key():
+    # each KEYS entry belongs to some subcommand, every count has a minimum,
+    # every string but a path has its choices, and each default is in bounds
+    keys = {key for defaults in DEFAULTS.values() for key in defaults}
+    assert set(KEYS) <= keys
+    for defaults in DEFAULTS.values():
+        for key, default in defaults.items():
+            bound = _BOUNDS.get(key)
+            if type(default) is int:
+                assert type(bound) is int and default >= bound, key
+            elif default is None or isinstance(default, str):
+                assert key in ("out", "config") or (isinstance(bound, list)
+                                                    and default in [None, *bound]), key
+            elif bound == "positive":
+                assert default > 0, key
+            elif bound is not None:
+                assert min(default) >= bound, key
+    for bound, help_text in KEYS.values():
+        assert bound is not None or help_text
 
 
 @pytest.mark.parametrize("sub,key", [
-    (sub, key) for sub, defaults in DEFAULTS.items() for key in _LOWER_BOUNDS if key in defaults
+    (sub, key) for sub, defaults in DEFAULTS.items() for key in defaults
+    if type(_BOUNDS.get(key)) is int
 ])
 def test_integer_lower_bounds(tmp_path, sub, key):
     out = tmp_path / "run"
-    assert main([sub, _flag(key), str(_LOWER_BOUNDS[key] - 1), "--out", str(out)]) == 2
+    assert main([sub, _flag(key), str(_BOUNDS[key] - 1), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -628,16 +682,31 @@ _SMALL_RUN = {
 _LIBRARY_WARNINGS = ["pumping period", "grid contains modes", "mode sits on the gap-closure"]
 
 
+def _bound_edges(key):
+    """(value, refused) at the key's numeric bound and one step past it.  A
+    positive key's smallest float passes the bound, but the run may still be
+    refused later, so it is marked None."""
+    bound = _BOUNDS.get(key)
+    if bound == "positive":
+        return [(0.0, True), (5e-324, None)]
+    if type(bound) is int:
+        return [(bound - 1, True), (bound, False)]
+    if isinstance(bound, float):
+        return [(math.nextafter(bound, 0.0), True), (bound, False)]
+    return []
+
+
 @st.composite
 def _edge_flags(draw, sub):
     options = {}
     for key, default in DEFAULTS[sub].items():
-        if key in CHOICES:
-            options[key] = [f"={v}" for v in CHOICES[key]]
+        bound = _BOUNDS.get(key)
+        if isinstance(bound, list):
+            options[key] = [f"={v}" for v in bound]
         elif isinstance(default, bool):
             options[key] = [""]
         elif isinstance(default, (float, list)):
-            options[key] = [f"={v}" for v in _EDGE_VALUES]
+            options[key] = [f"={v}" for v in _EDGE_VALUES + [v for v, _ in _bound_edges(key)]]
     keys = draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=3, unique=True))
     return [_flag(k) + draw(st.sampled_from(options[k])) for k in keys]
 
@@ -733,8 +802,12 @@ def _edge_file(draw, sub):
     # --out and --config are flags, which would override the file's values
     keys = sorted(set(DEFAULTS[sub]) - {"out", "config"})
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
-    return {key: draw(st.sampled_from(_FILE_VALUES + [json.dumps(v) for v in CHOICES.get(key, [])]))
-            for key in chosen}
+    def pool(key):
+        bound = _BOUNDS.get(key)
+        edges = bound if isinstance(bound, list) else [v for v, _ in _bound_edges(key)]
+        return _FILE_VALUES + [json.dumps(v) for v in edges]
+
+    return {key: draw(st.sampled_from(pool(key))) for key in chosen}
 
 
 @pytest.mark.parametrize("sub", sorted(DEFAULTS))
@@ -751,28 +824,33 @@ def test_config_file_edge_values_publish_all_or_nothing(sub, data):
 
 
 def _integer_edges():
-    """(argv, whether it must be refused) for each integer key at and below its
-    minimum, and for sample counts at and past steps + 1."""
+    """(argv, the key, whether it must be refused) for each bounded number at
+    and past its bound, and for sample counts at and past steps + 1."""
     # one step holds at most two samples
     fewer = {"iontrap": ["--n-times=2"], "gauge-check": ["--n-check=2"]}
     for sub in sorted(DEFAULTS):
-        for key, low in MIN_INT.items():
-            if key not in DEFAULTS[sub]:
-                continue
+        for key in DEFAULTS[sub]:
             extra = fewer.get(sub, []) if key == "steps" else []
-            for value, refused in ((low - 1, True), (low, False)):
+            for value, refused in _bound_edges(key):
                 yield pytest.param([sub, *_SMALL_RUN[sub], *extra, f"{_flag(key)}={value}"],
-                                   refused, id=f"{sub}-{key}={value}")
+                                   key, refused, id=f"{sub}-{key}={value}")
     for sub, key in (("iontrap", "n_times"), ("gauge-check", "n_check")):
         steps = int(_small_run_values(sub)["steps"])
         for value, refused in ((steps + 1, False), (steps + 2, True)):
             yield pytest.param([sub, *_SMALL_RUN[sub], f"{_flag(key)}={value}"],
-                               refused, id=f"{sub}-{key}=steps+{value - steps}")
+                               key, refused, id=f"{sub}-{key}=steps+{value - steps}")
 
 
-@pytest.mark.parametrize("argv,refused", _integer_edges())
-def test_integer_edges_publish_all_or_nothing(argv, refused):
-    # below the minimum, or more samples than step indices, is a config error;
-    # at the edge the run goes ahead (its check may still fail, exit 3)
+@pytest.mark.parametrize("argv,key,refused", _integer_edges())
+def test_integer_edges_publish_all_or_nothing(capsys, argv, key, refused):
+    # past a bound, or more samples than step indices, is a config error that
+    # names the key; at the bound the run goes ahead (its check may still
+    # fail, exit 3).  The smallest positive float passes the bound but may be
+    # refused by the library after it, with a message about something else.
     code = _run_all_or_nothing(argv)
-    assert (code == 2) is refused, (argv, code)
+    err = capsys.readouterr().err
+    if refused is None:
+        assert not err.startswith(f"error: {key}: must be positive"), (argv, err)
+    else:
+        assert (code == 2) is refused, (argv, code)
+        assert err.startswith(f"error: {key}: ") is refused, (argv, err)

@@ -18,7 +18,6 @@ from dirac_rescale.propagator import (
     PAULI_Z,
     PauliHamiltonian,
     UnitarityError,
-    evolve_state,
     evolve_states,
     norm_defect,
     propagate,
@@ -208,24 +207,6 @@ def test_rescaled_equals_original_window(a, p):
     assert np.linalg.norm(u_resc - u_orig, 2) < 1e-8
 
 
-def test_evolve_state_trivial_cases():
-    s = np.array([1.0, 0.0], dtype=complex)
-    np.testing.assert_allclose(evolve_state(IDENTITY2, s), s)
-    u = np.diag([np.exp(-1j * 0.4), np.exp(1j * 0.4)])
-    np.testing.assert_allclose(evolve_state(u, s), np.exp(-1j * 0.4) * s)
-
-
-def test_evolve_state_preserves_norm_sweep():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        coeffs = rng.normal(size=4)
-        u = su2_exponential(*coeffs, dt=rng.uniform(0.01, 1.0))
-        raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-        s = raw / np.linalg.norm(raw)
-        out = evolve_state(u, s)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-
-
 def test_unitarity_across_resolutions():
     h = demo_hamiltonian(0.1)
     for n in (17, 333, 4000):
@@ -261,7 +242,7 @@ def test_evolve_states_matches_unitaries():
         _, us = propagate_sampled(h, 0.0, 1.0, 300, [150, 300])
         assert psis.shape == (2, 2, 2)
         for j in range(2):
-            np.testing.assert_allclose(psis[j], evolve_state(us[j], psi0), atol=1e-13)
+            np.testing.assert_allclose(psis[j], np.einsum("...ij,...j->...i", us[j], psi0), atol=1e-13)
         assert norm_defect(psis) < 1e-12
 
 
