@@ -53,7 +53,6 @@ class ClassicalModel:
     m: float
     gamma: Callable
     dV: Callable
-    label: str = "custom"
 
     def __post_init__(self):
         if not self.m > 0:
@@ -65,13 +64,11 @@ def _default_gamma(tau: float) -> Callable:
 
 
 def harmonic_model(tau: float = 1.0, m: float = 1.0) -> ClassicalModel:
-    return ClassicalModel(m=m, gamma=_default_gamma(tau),
-                          dV=lambda u: 2.0 * u, label="harmonic")
+    return ClassicalModel(m=m, gamma=_default_gamma(tau), dV=lambda u: 2.0 * u)
 
 
 def quartic_model(tau: float = 1.0, m: float = 1.0) -> ClassicalModel:
-    return ClassicalModel(m=m, gamma=_default_gamma(tau),
-                          dV=lambda u: 4.0 * u * u * u, label="quartic")
+    return ClassicalModel(m=m, gamma=_default_gamma(tau), dV=lambda u: 4.0 * u * u * u)
 
 
 def h1h2(rf: RescalingFunction, t, m: float = 1.0):
@@ -153,21 +150,17 @@ def _stage_times(t0: float, t1: float, n_steps: int):
 
 
 def evolve_classical(dH_dp: Callable, dH_dx: Callable, state0, t0: float,
-                     t1: float, n_steps: int, n_record: int | None = None):
+                     t1: float, n_steps: int):
     """Fixed-step RK4 for xdot = dH/dp, pdot = -dH/dx.
 
     ``state0`` is one (x, p) pair or a batch of shape (..., 2); both
     callables take (x, p, t) with x, p of the batch shape and must act on
     each row alone.  The stage times are t0 + k*h and t0 + k*h + h/2.
     Returns (times, trajectory) with trajectory[j] = the (..., 2) state at
-    times[j]; n_record (default: every step) sets how many steps are
-    recorded.  A run aborts as diverged when any |x| or |p| of the batch
-    exceeds 1e12 or is NaN.
+    times[j], one entry per step plus the start.  A run aborts as diverged
+    when any |x| or |p| of the batch exceeds 1e12 or is NaN.
     """
     ts, h = _stage_times(t0, t1, n_steps)
-    n_record = n_steps if n_record is None else n_record
-    if n_record < 1:
-        raise ValueError("n_record must be at least 1")
     y = np.asarray(state0, dtype=float)
     if y.ndim == 0 or y.shape[-1] != 2:
         raise ValueError(f"state must have shape (..., 2), got {y.shape}")
@@ -179,8 +172,7 @@ def evolve_classical(dH_dp: Callable, dH_dx: Callable, state0, t0: float,
         out[..., 1] = -dH_dx(x, p, t)
         return out
 
-    record_every = max(1, n_steps // n_record)
-    recorded, traj = [0], [y]
+    traj = [y]
     for k in range(n_steps):
         j = 2 * k
         k1 = rhs(j, y)
@@ -190,10 +182,8 @@ def evolve_classical(dH_dp: Callable, dH_dx: Callable, state0, t0: float,
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.abs(y) <= _OVERFLOW_GUARD):
             raise RuntimeError(f"trajectory diverged at t = {ts[j + 2]:g}")
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            recorded.append(j + 2)
-            traj.append(y)
-    return ts[recorded], np.asarray(traj)
+        traj.append(y)
+    return ts[::2], np.asarray(traj)
 
 
 @dataclass(frozen=True, eq=False)

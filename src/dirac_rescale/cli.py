@@ -2,13 +2,13 @@
 
 Every run produces a versioned JSON summary (echoing the fully resolved
 configuration) plus plot-ready tables.  A runner only computes; ``main``
-writes the whole artifact set once the run has finished, or none of it.
-Output is deterministic: no RNG, fixed-order reductions and
+creates ``--out`` and writes every artifact once the run has finished, or
+none of them.  Output is deterministic: no RNG, fixed-order reductions and
 17-significant-digit float formatting, so repeated runs are byte-identical.
 
-Exit codes: 0 ok, 2 configuration error (including any non-finite value),
-3 a built-in check exceeded its tolerance or a result is not finite, 4 I/O
-failure (which leaves none of the run's files).
+Exit codes: 0 ok, 2 configuration error (including any non-finite value and
+a size too large to allocate), 3 a built-in check exceeded its tolerance or
+a result is not finite, 4 I/O failure (which leaves none of the run's files).
 """
 
 from __future__ import annotations
@@ -467,30 +467,26 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        # every rescaling is built, and so checked, before --out exists
+        # every rescaling is built, and so checked, before any work
         tau = cfg["T0"] if args.subcommand == "floquet" else cfg["tau"]
         rfs = [RescalingFunction(a=a, tau=tau) for a in cfg["a"]]
-    except ValueError as exc:
+        # a non-finite value fails the run below, so numpy need not warn of it first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            outcome = _RUNNERS[args.subcommand](cfg, rfs)
+        files = {f"{name}.{cfg['format']}": _table_text(header, rows, cfg["format"])
+                 for name, (header, rows) in outcome["tables"].items()}
+        failed = sorted(name for name, c in outcome["checks"].items() if not c["passed"])
+        files["summary.json"] = _summary_text(args.subcommand, cfg, outcome["results"],
+                                              outcome["checks"], passed=not failed)
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        # drifted/diverged computation: report as a failed check
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
     try:
         os.makedirs(cfg["out"], exist_ok=True)
-        try:
-            # a non-finite value fails the run below, so numpy need not warn of it first
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                outcome = _RUNNERS[args.subcommand](cfg, rfs)
-            files = {f"{name}.{cfg['format']}": _table_text(header, rows, cfg["format"])
-                     for name, (header, rows) in outcome["tables"].items()}
-            failed = sorted(name for name, c in outcome["checks"].items() if not c["passed"])
-            files["summary.json"] = _summary_text(args.subcommand, cfg, outcome["results"],
-                                                  outcome["checks"], passed=not failed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except RuntimeError as exc:
-            # drifted/diverged computation: report as a failed check
-            print(f"check failed: {exc}", file=sys.stderr)
-            return EXIT_TOLERANCE
         _publish(cfg["out"], files)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

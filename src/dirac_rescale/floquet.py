@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -137,20 +136,16 @@ def _frozen_mode_h(params: WeylModelParams, k, phi_y, phi_z) -> PauliHamiltonian
     return PauliHamiltonian(terms)
 
 
-def build_rotating_frame_h(params: WeylModelParams,
-                           phi_y: Callable | None = None,
-                           phi_z: Callable | None = None) -> PauliHamiltonian:
-    """Rotating-frame coefficients with alpha = V2 cos(phi_z(t)) sin(Omega t)/Omega.
+def build_rotating_frame_h(params: WeylModelParams) -> PauliHamiltonian:
+    """Rotating-frame coefficients with alpha = V2 cos(phi_z) sin(Omega t)/Omega.
 
     The sx row mixes cos(2 alpha) and sin(2 alpha); the sy row repeats it
     with the hopping term negated; the sz row keeps V1 cos(phi_z).
     """
     J, lam, V1, V2, Om = params.J, params.lam, params.V1, params.V2, params.Omega
-    k = params.k
+    k, py, pz = params.k, params.phi_y, params.phi_z
 
     def terms(t):
-        py = params.phi_y if phi_y is None else phi_y(t)
-        pz = params.phi_z if phi_z is None else phi_z(t)
         a2 = 2.0 * (V2 * np.cos(pz) * np.sin(Om * t) / Om)
         hop = 2.0 * J * np.cos(k) * np.cos(a2)
         kick = 2.0 * lam * np.sin(k) * np.cos(py) * np.sin(a2)
@@ -245,19 +240,18 @@ def perturbative_floquet(params: WeylModelParams):
     return IDENTITY2 + 1j * amp * (2.0 * params.J * kx * PAULI_X + 2.0 * params.lam * ky * PAULI_Y)
 
 
-def calibrate_perturbative_prefactor(params: WeylModelParams, n_steps: int = 20000,
-                                     scale: float = 1e-3) -> float:
+def calibrate_perturbative_prefactor(params: WeylModelParams) -> float:
     """Prefactor in front of J_0(ell c) matched against the numeric operator.
 
-    Shrinks the hopping amplitudes by ``scale`` so the first-order term
+    Shrinks the hopping amplitudes by 1e-3 so the first-order term
     dominates, evolves the touching-point Hamiltonian over one pumping
-    period and reads the sx component of (U - I)/i.
+    period in 20000 steps and reads the sx component of (U - I)/i.
     """
     from scipy.special import jv
 
-    small = replace(params, J=params.J * scale, lam=params.lam * scale)
+    small = replace(params, J=params.J * 1e-3, lam=params.lam * 1e-3)
     h = linearized_h_near_touching(small, include_offset=False, freeze_kz=True)
-    u = propagate(h, 0.0, small.T0, n_steps)
+    u = propagate(h, 0.0, small.T0, 20000)
     kx = small.k - math.pi / 2.0
     first_order = (u - IDENTITY2) / 1j
     sx_part = 0.5 * np.real(np.trace(PAULI_X @ first_order))

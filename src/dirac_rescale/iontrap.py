@@ -60,19 +60,17 @@ class PhysicalTrapParams:
 
     eta is the Lamb-Dicke parameter, Delta the ground-state width of the
     confining trap, gamma(t) the laser coupling strength and omega(t) the
-    detuning; m_ion and nu are the ion mass and axial trap frequency.
+    detuning.
     """
 
     eta: float
     Delta: float
     gamma: Callable
     omega: Callable
-    m_ion: float
-    nu: float
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("eta", "Delta", "m_ion", "nu"):
+        for name in ("eta", "Delta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 

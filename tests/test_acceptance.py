@@ -244,9 +244,8 @@ def test_criterion_6_appendix_equivalence():
     tol = 1e-5
     rf2 = RescalingFunction(a=2.0, tau=TAU)
     devs = {}
-    for factory in (harmonic_model, quartic_model):
-        model = factory(tau=TAU)
-        devs[model.label] = appendix_equivalence_check(model, rf2, n_steps=4000).max_deviation
+    for name, factory in (("harmonic", harmonic_model), ("quartic", quartic_model)):
+        devs[name] = appendix_equivalence_check(factory(tau=TAU), rf2, n_steps=4000).max_deviation
 
     ns = np.array([250, 500, 1000])
     conv = [appendix_equivalence_check(quartic_model(tau=TAU), rf2, n_steps=int(n)).max_deviation

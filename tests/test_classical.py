@@ -208,33 +208,29 @@ def _anharmonic_dH_dx(x, p, t):
     batch=st.sampled_from([(1,), (3,), (2, 2)]),
     data=st.data(),
     n_steps=st.integers(20, 80),
-    n_record=st.integers(1, 30),
 )
-def test_evolve_batch_invariance(batch, data, n_steps, n_record):
+def test_evolve_batch_invariance(batch, data, n_steps):
     # row i of a batched run is the single run from row i, bit for bit
     states = data.draw(hnp.arrays(float, (*batch, 2), elements=st.floats(-1.5, 1.5)))
     times, traj = evolve_classical(_anharmonic_dH_dp, _anharmonic_dH_dx, states,
-                                   0.0, 1.0, n_steps, n_record)
+                                   0.0, 1.0, n_steps)
     assert traj.shape == (len(times), *batch, 2)
     for idx in np.ndindex(*batch):
         t1, single = evolve_classical(_anharmonic_dH_dp, _anharmonic_dH_dx, states[idx],
-                                      0.0, 1.0, n_steps, n_record)
+                                      0.0, 1.0, n_steps)
         assert np.array_equal(t1, times)
         assert np.array_equal(traj[(slice(None), *idx)], single)
 
 
-@pytest.mark.parametrize("state0,n_steps,n_record", [
-    pytest.param((1.0, 0.0), 0, None, id="n_steps_zero"),
-    pytest.param((1.0, 0.0), 10, 0, id="n_record_zero"),
-    pytest.param((1.0, 0.0), 10, -3, id="n_record_negative"),
-    pytest.param((1.0, 0.0, 0.0), 10, None, id="three_components"),
-    pytest.param(1.0, 10, None, id="scalar_state"),
-    pytest.param(np.zeros((4, 3)), 10, None, id="batch_last_axis_3"),
+@pytest.mark.parametrize("state0,n_steps", [
+    pytest.param((1.0, 0.0), 0, id="n_steps_zero"),
+    pytest.param((1.0, 0.0, 0.0), 10, id="three_components"),
+    pytest.param(1.0, 10, id="scalar_state"),
+    pytest.param(np.zeros((4, 3)), 10, id="batch_last_axis_3"),
 ])
-def test_evolve_rejects_bad_input(state0, n_steps, n_record):
+def test_evolve_rejects_bad_input(state0, n_steps):
     with pytest.raises(ValueError):
-        evolve_classical(lambda x, p, t: p, lambda x, p, t: x, state0, 0.0, 1.0,
-                         n_steps, n_record)
+        evolve_classical(lambda x, p, t: p, lambda x, p, t: x, state0, 0.0, 1.0, n_steps)
 
 
 def test_divergence_guard():
@@ -339,8 +335,7 @@ def _sine_dV(u):
 
 
 def _sine_model(tau, m):
-    return ClassicalModel(m=m, gamma=harmonic_model(tau, m).gamma,
-                          dV=_sine_dV, label="sine")
+    return ClassicalModel(m=m, gamma=harmonic_model(tau, m).gamma, dV=_sine_dV)
 
 
 @settings(max_examples=40, deadline=None)

@@ -292,7 +292,7 @@ def test_non_finite_result_exit(tmp_path):
     out = tmp_path / "run"
     code = main(["rescale-info", "--a", "1e15", "--tau", "1e-290", "--out", str(out)])
     assert code == 3
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -305,7 +305,7 @@ def test_non_finite_table_not_published(tmp_path, argv, fmt):
     # not even the finite rows of an earlier a
     out = tmp_path / "run"
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 3
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,code,err", [
@@ -321,11 +321,7 @@ def test_out_of_range_input_fails_without_numpy_warning(tmp_path, capsys, argv, 
     # on stderr and publishes nothing; numpy does not warn on the way
     out = tmp_path / "run"
     assert main([*argv.split(), "--out", str(out)]) == code
-    # a rescaling is refused before --out exists; the other runs fail inside it
-    if err.startswith("error: rescaling"):
-        assert not out.exists()
-    else:
-        assert os.listdir(out) == []
+    assert not out.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(err)
 
@@ -341,11 +337,25 @@ def test_huge_coefficients_blame_float_range(tmp_path, capsys, argv):
     # does not advise finer stepping
     out = tmp_path / "run"
     assert main([*argv.split(), "--out", str(out)]) == 3
-    assert os.listdir(out) == []
+    assert not out.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("check failed: unitarity defect nan")
     assert lines[0].endswith("the coefficients times the time step left float range")
+
+
+def test_memory_error_is_config_error(tmp_path, capsys, monkeypatch):
+    # a size too large to allocate fails with one line and exit 2, not a
+    # traceback; the stand-in raises what numpy raises, allocating nothing
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(cli, "fidelity_curves", too_large)
+    out = tmp_path / "run"
+    assert main(["iontrap", "--out", str(out)]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: Unable to allocate 7.45 TiB for an array with shape (1000000, 1000000)"]
 
 
 @pytest.mark.parametrize("argv", ["rescale-info --tau 1e-320",

@@ -205,7 +205,7 @@ def test_drive_average_is_bessel_j0():
 
 def test_perturbative_prefactor_calibration():
     p = params(k=math.pi / 2 + 0.01, phi_y=math.pi / 2 - 0.008)
-    pref = calibrate_perturbative_prefactor(p, n_steps=20000)
+    pref = calibrate_perturbative_prefactor(p)
     assert pref == pytest.approx(p.T0, rel=1e-4)
 
 

@@ -38,7 +38,7 @@ def test_demo_hamiltonian_special_points():
 def test_physical_units_map():
     const = PhysicalTrapParams(
         eta=0.1, Delta=0.5, gamma=lambda t: 2.0 + 0.0 * np.asarray(t),
-        omega=lambda t: 3.0 + 0.0 * np.asarray(t), m_ion=1.0, nu=1.0,
+        omega=lambda t: 3.0 + 0.0 * np.asarray(t),
     )
     from dirac_rescale.iontrap import physical_units_map
 
@@ -47,11 +47,11 @@ def test_physical_units_map():
     assert rest == pytest.approx(3.0)
     double = PhysicalTrapParams(
         eta=0.1, Delta=0.5, gamma=lambda t: 4.0 + 0.0 * np.asarray(t),
-        omega=lambda t: 3.0 + 0.0 * np.asarray(t), m_ion=1.0, nu=1.0,
+        omega=lambda t: 3.0 + 0.0 * np.asarray(t),
     )
     assert physical_units_map(double, 0.7)[0] == pytest.approx(2 * c_eff)
     profiled = PhysicalTrapParams(
-        eta=0.2, Delta=0.3, gamma=np.cos, omega=np.exp, m_ion=1.0, nu=2.0, hbar=1.5,
+        eta=0.2, Delta=0.3, gamma=np.cos, omega=np.exp, hbar=1.5,
     )
     t = 0.4
     c_eff, rest = physical_units_map(profiled, t)

@@ -1,4 +1,4 @@
-"""The public names the package exports, and the ones the benchmark tracer wraps."""
+"""The public names the package exports, the ones the benchmark tracer wraps, and the fields code reads."""
 
 import ast
 import importlib
@@ -82,3 +82,20 @@ def test_boundary_check_stays_inside_the_rescaling():
                 imported_from_rescaling.update(imported)
     assert referrers == {"rescaling.py"}
     assert imported_from_rescaling == {"BOUNDARY_TOL", "RescalingFunction"}
+
+
+def test_every_dataclass_field_is_read():
+    # a field that no code in src/ reads as an attribute is an input nothing
+    # uses; a check in __post_init__ through getattr does not count as a read
+    fields, read = set(), set()
+    for path in sorted((ROOT / "src" / "dirac_rescale").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields.update((node.name, item.target.id) for item in node.body
+                              if isinstance(item, ast.AnnAssign))
+    assert fields
+    assert sorted(f"{cls}.{name}" for cls, name in fields if name not in read) == []
