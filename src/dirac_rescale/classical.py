@@ -73,13 +73,9 @@ def quartic_model(tau: float = 1.0, m: float = 1.0) -> ClassicalModel:
 
 def h1h2(rf: RescalingFunction, t, m: float = 1.0):
     """Generating-function coefficients (1/sqrt(df), m d2f/(4 df^2))."""
-    fd = np.asarray(rf.df(t), dtype=float)
-    f2 = np.asarray(rf.d2f(t), dtype=float)
-    h1 = 1.0 / np.sqrt(fd)
-    h2 = m * f2 / (4.0 * fd * fd)
-    if np.ndim(h1) == 0:
-        return float(h1), float(h2)
-    return h1, h2
+    fd = rf.df(t)
+    f2 = rf.d2f(t)
+    return 1.0 / np.sqrt(fd), m * f2 / (4.0 * fd * fd)
 
 
 def canonical_map(state, rf: RescalingFunction, t, m: float = 1.0,
@@ -109,11 +105,10 @@ def kappa(rf: RescalingFunction, t, m: float = 1.0):
         kappa = 4 h2^2 df/(2 m h1^2) + dh2/dt / h1^2
               = m d2f^2/(8 df^2) + m (df d3f - 2 d2f^2)/(4 df^2) .
     """
-    fd = np.asarray(rf.df(t), dtype=float)
-    f2 = np.asarray(rf.d2f(t), dtype=float)
-    f3 = np.asarray(rf.d3f(t), dtype=float)
-    out = m * f2 * f2 / (8.0 * fd * fd) + m * (fd * f3 - 2.0 * f2 * f2) / (4.0 * fd * fd)
-    return float(out) if np.ndim(out) == 0 else out
+    fd = rf.df(t)
+    f2 = rf.d2f(t)
+    f3 = rf.d3f(t)
+    return m * f2 * f2 / (8.0 * fd * fd) + m * (fd * f3 - 2.0 * f2 * f2) / (4.0 * fd * fd)
 
 
 def quantum_coeffs(rf: RescalingFunction, t):
@@ -122,15 +117,11 @@ def quantum_coeffs(rf: RescalingFunction, t):
         beta = log(df),  alpha = d2f/df,
         kappa_q = d3f/df - d2f^2/df^2 - d2f^2/df^3 .
     """
-    fd = np.asarray(rf.df(t), dtype=float)
-    f2 = np.asarray(rf.d2f(t), dtype=float)
-    f3 = np.asarray(rf.d3f(t), dtype=float)
-    alpha = f2 / fd
-    beta = np.log(fd)
+    fd = rf.df(t)
+    f2 = rf.d2f(t)
+    f3 = rf.d3f(t)
     kq = f3 / fd - f2 * f2 / (fd * fd) - f2 * f2 / (fd * fd * fd)
-    if np.ndim(alpha) == 0:
-        return float(alpha), float(beta), float(kq)
-    return alpha, beta, kq
+    return f2 / fd, np.log(fd), kq
 
 
 #: |x| or |p| beyond this aborts the integration as diverged

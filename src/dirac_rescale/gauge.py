@@ -55,9 +55,7 @@ _ENDPOINT_EPS = 1e-12
 
 def phi_of_t(rf: RescalingFunction, t):
     """Principal angle 0.5*arccos(1/df(t)) in [0, pi/4)."""
-    fd = np.asarray(rf.df(t), dtype=float)
-    out = 0.5 * np.arccos(np.clip(1.0 / fd, -1.0, 1.0))
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * np.arccos(np.clip(1.0 / rf.df(t), -1.0, 1.0))
 
 
 def phi_dot(rf: RescalingFunction, t):
@@ -67,18 +65,18 @@ def phi_dot(rf: RescalingFunction, t):
     entering the window and -sqrt(d3f)/2 when leaving it.
     """
     t_arr = np.asarray(t, dtype=float)
-    fd = np.asarray(rf.df(t_arr), dtype=float)
-    f2 = np.asarray(rf.d2f(t_arr), dtype=float)
+    fd = rf.df(t_arr)
+    f2 = rf.d2f(t_arr)
     g = fd * fd - 1.0
     regular = fd - 1.0 > _ENDPOINT_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.where(regular, f2 / (2.0 * fd * np.sqrt(np.where(regular, g, 1.0))), 0.0)
     if not np.all(regular):
-        f3 = np.asarray(rf.d3f(t_arr), dtype=float)
+        f3 = rf.d3f(t_arr)
         sign = np.where(t_arr <= 0.5 * rf.horizon, 1.0, -1.0)
         limit = sign * 0.5 * np.sqrt(np.maximum(f3, 0.0))
         val = np.where(regular, val, limit)
-    return float(val) if val.ndim == 0 else val
+    return val[()]
 
 
 def K_matrix(phi):
@@ -104,10 +102,9 @@ def frak_vector_potential(rf: RescalingFunction, vector_potential: Callable, t, 
 
     the last term being dphi/dt (finite endpoint limit included).
     """
-    fd = np.asarray(rf.df(t), dtype=float)
+    fd = rf.df(t)
     a_resc = fd * np.asarray(vector_potential(rf.f(t)), dtype=float)
-    out = a_resc + (fd - 1.0) * np.asarray(p, dtype=float) + phi_dot(rf, t)
-    return float(out) if np.ndim(out) == 0 else out
+    return a_resc + (fd - 1.0) * np.asarray(p, dtype=float) + phi_dot(rf, t)
 
 
 def transformed_hamiltonian(rf: RescalingFunction, model: PauliHamiltonian) -> PauliHamiltonian:

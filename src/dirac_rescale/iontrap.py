@@ -103,8 +103,8 @@ def instantaneous_eigenstate(model: IonTrapModel, p, t, branch: int = +1):
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     p_arr = np.asarray(p, dtype=float)
-    dx = p_arr - np.asarray(model.vector_potential(t), dtype=float)
-    dz = np.asarray(model.gap(t), dtype=float) + np.zeros_like(p_arr)
+    dx = p_arr - model.vector_potential(t)
+    dz = model.gap(t) + np.zeros_like(p_arr)
     if np.any((np.abs(dx) < DEGENERACY_EPS) & (np.abs(dz) < DEGENERACY_EPS)):
         warnings.warn(
             "mode sits on the gap-closure point (p = 1, t = tau); "

@@ -237,7 +237,7 @@ def _checked_args(t0, t1, n_steps, sample_steps):
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     if not operator.index(n_steps) >= 1:
         raise ValueError("n_steps must be at least 1")
-    idx = [int(k) for k in sample_steps]
+    idx = [operator.index(k) for k in sample_steps]
     if any(k < 0 or k > n_steps for k in idx) or sorted(idx) != idx:
         raise ValueError("sample steps must be ascending indices in [0, n_steps]")
     return (t1 - t0) / n_steps, idx

@@ -31,11 +31,6 @@ BOUNDARY_TOL = 1e-10
 _DOMAIN_SLACK = 1e-9
 
 
-def _as_float_or_array(x):
-    arr = np.asarray(x, dtype=float)
-    return float(arr) if arr.ndim == 0 else arr
-
-
 @dataclass(frozen=True)
 class RescalingFunction:
     """Sinusoidal time contraction with factor ``a`` over horizon ``tau/a``; a = 1 is the identity."""
@@ -90,26 +85,22 @@ class RescalingFunction:
         """Rescaled time f(t)."""
         t = self._check_domain(t)
         w = self.omega
-        out = self.a * t - self.tau * (self.a - 1.0) / (2.0 * math.pi * self.a) * np.sin(w * t)
-        return _as_float_or_array(out)
+        return self.a * t - self.tau * (self.a - 1.0) / (2.0 * math.pi * self.a) * np.sin(w * t)
 
     def df(self, t):
         """First derivative, df(t) = a - (a-1) cos(2*pi*a*t/tau) >= 1."""
         t = self._check_domain(t)
-        out = self.a - (self.a - 1.0) * np.cos(self.omega * t)
-        return _as_float_or_array(out)
+        return self.a - (self.a - 1.0) * np.cos(self.omega * t)
 
     def d2f(self, t):
         t = self._check_domain(t)
         w = self.omega
-        out = (self.a - 1.0) * w * np.sin(w * t)
-        return _as_float_or_array(out)
+        return (self.a - 1.0) * w * np.sin(w * t)
 
     def d3f(self, t):
         t = self._check_domain(t)
         w = self.omega
-        out = (self.a - 1.0) * w * w * np.cos(w * t)
-        return _as_float_or_array(out)
+        return (self.a - 1.0) * w * w * np.cos(w * t)
 
 
 def check_boundary(rf) -> dict:

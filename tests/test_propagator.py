@@ -189,6 +189,23 @@ def test_entry_points_reject_bad_window(call, t0, t1, n_steps, error):
         call(demo_hamiltonian(0.3), t0, t1, n_steps)
 
 
+@pytest.mark.parametrize("samples,error", [
+    pytest.param([5, 2], ValueError, id="descending"),
+    pytest.param([11], ValueError, id="past_n_steps"),
+    pytest.param([-1], ValueError, id="negative"),
+    # a non-integer index is refused, neither truncated (2.7) nor parsed ('3')
+    pytest.param([2.7], TypeError, id="fractional"),
+    pytest.param(["3"], TypeError, id="string"),
+])
+@pytest.mark.parametrize("call", [
+    lambda h, samples: propagate_sampled(h, 0.0, 1.0, 10, samples),
+    lambda h, samples: evolve_states(h, 0.0, 1.0, 10, np.array([1.0, 0.0]), samples),
+], ids=["propagate_sampled", "evolve_states"])
+def test_entry_points_reject_bad_samples(call, samples, error):
+    with pytest.raises(error):
+        call(demo_hamiltonian(0.3), samples)
+
+
 def test_rescaled_identity_factor_matches_plain():
     h = demo_hamiltonian(0.2)
     rf = RescalingFunction(a=1.0, tau=1.0)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirac_rescale.classical import h1h2, kappa, quantum_coeffs
+from dirac_rescale.gauge import frak_vector_potential, phi_dot, phi_of_t
 from dirac_rescale.rescaling import BOUNDARY_TOL, RescalingFunction, check_boundary
 
 
@@ -164,6 +166,42 @@ def test_every_built_rescaling_has_df_at_least_one(a, tau, fractions):
     t = np.concatenate([np.linspace(0.0, rf.horizon, 4097),
                         np.asarray(fractions) * rf.horizon])
     assert np.all(rf.df(t) >= 1.0)
+
+
+@settings(deadline=None)
+@given(
+    a=st.floats(1.0, 50.0),
+    tau=st.floats(0.1, 10.0),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+def test_float_time_gives_numpy_float_matching_array_call(a, tau, fractions):
+    # numpy owns the scalar convention: a float t gives a 0-d np.floating,
+    # bitwise element i of the call on the array of times; both endpoints
+    # are included so phi_dot's endpoint limit runs
+    rf = RescalingFunction(a=a, tau=tau)
+    ts = np.array([0.0, *fractions, 1.0]) * rf.horizon
+    calls = {
+        "f": rf.f,
+        "df": rf.df,
+        "d2f": rf.d2f,
+        "d3f": rf.d3f,
+        "phi_of_t": lambda t: phi_of_t(rf, t),
+        "phi_dot": lambda t: phi_dot(rf, t),
+        "frak_vector_potential": lambda t: frak_vector_potential(rf, np.sin, t, 0.3),
+        "h1h2": lambda t: h1h2(rf, t, 1.5),
+        "kappa": lambda t: kappa(rf, t, 1.5),
+        "quantum_coeffs": lambda t: quantum_coeffs(rf, t),
+    }
+    for name, call in calls.items():
+        whole = call(ts)
+        whole = whole if isinstance(whole, tuple) else (whole,)
+        assert all(np.shape(w) == ts.shape for w in whole), name
+        for i, t in enumerate(ts.tolist()):
+            one = call(t)
+            one = one if isinstance(one, tuple) else (one,)
+            for s, w in zip(one, whole, strict=True):
+                assert isinstance(s, np.floating) and np.ndim(s) == 0, (name, type(s))
+                assert np.asarray(s).tobytes() == w[i].tobytes(), (name, t)
 
 
 @pytest.mark.parametrize("a,built", [(1e15, True), (2.0**53 + 2, False),
