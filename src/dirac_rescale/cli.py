@@ -52,10 +52,6 @@ EXIT_TOLERANCE = 3
 EXIT_IO = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -202,72 +198,63 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_values = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+            raise ValueError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            raise ValueError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(file_values) - set(defaults))
         if unknown:
-            raise ConfigError(f"unknown config keys for {sub}: {', '.join(unknown)}")
-    # every file value is checked, also where a flag overrides it
-    from_file = {key: _file_value(key, value, defaults[key]) for key, value in file_values.items()}
-    resolved = {}
+            raise ValueError(f"unknown config keys for {sub}: {', '.join(unknown)}")
+    # every file value is checked, also where a flag overrides it, then every flag set
+    cfg = {**defaults, **{key: _checked(key, value, defaults[key])
+                          for key, value in file_values.items()}}
     for key, default in defaults.items():
-        flag_value = getattr(args, key)
-        resolved[key] = flag_value if flag_value is not None else from_file.get(key, default)
-    _validate(sub, resolved)
-    return resolved
+        if getattr(args, key) is not None:
+            cfg[key] = _checked(key, getattr(args, key), default)
+    _validate(sub, cfg)
+    return cfg
 
 
-def _as_float(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{key}: {value} is out of float range") from None
-
-
-def _file_value(key: str, value, default):
-    """A config-file value checked as its flag would be, by the type of the default."""
+def _checked(key: str, value, default):
+    """A flag or config-file value, checked by the type of the default and its KEYS bound."""
+    bound = KEYS.get(key, (None,))[0]
     if isinstance(default, list):
         values = value if isinstance(value, list) else [value]
         if not values:
-            raise ConfigError(f"{key}: needs at least one value")
-        return [_as_float(key, v) for v in values]
-    if isinstance(default, float):
-        return _as_float(key, value)
+            raise ValueError(f"{key}: needs at least one value")
+        return [_checked(key, v, 0.0) for v in values]
     if default is None or isinstance(default, str):
         if value is None and default is None:
             return None
-        choices = KEYS.get(key, (None,))[0]
-        if not isinstance(value, str) or (choices and value not in choices):
-            wanted = f"one of {', '.join(choices)}" if choices else "a string"
-            raise ConfigError(f"{key}: must be {wanted}, got {value!r}")
+        if not isinstance(value, str) or (bound and value not in bound):
+            wanted = f"one of {', '.join(bound)}" if bound else "a string"
+            raise ValueError(f"{key}: must be {wanted}, got {value!r}")
         return value
-    if type(value) is not type(default):
-        raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
-    return value
+    if isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key}: expected a number, got {value!r}")
+    elif type(value) is not type(default):
+        raise ValueError(f"{key}: expected {type(default).__name__}, got {value!r}")
+    try:
+        number = float(value)  # an int past float range fails as a float would
+    except OverflowError:
+        raise ValueError(f"{key}: {value} is out of float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{key}: must be finite, got {number}")
+    if bound == "positive" and not number > 0:
+        raise ValueError(f"{key}: must be positive, got {number}")
+    if isinstance(bound, (int, float)) and value < bound:
+        raise ValueError(f"{key}: must be >= {bound}, got {value}")
+    return number if isinstance(default, float) else value
 
 
 def _validate(sub: str, cfg: dict) -> None:
-    for key, value in cfg.items():
-        bound = KEYS.get(key, (None,))[0]
-        for v in value if isinstance(value, list) else [value]:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{key}: must be finite, got {v}")
-            if type(v) is int:
-                _as_float(key, v)  # an int past float range fails as a float would
-            if bound == "positive" and not v > 0:
-                raise ConfigError(f"{key}: must be positive, got {v}")
-            if isinstance(bound, (int, float)) and v < bound:
-                raise ConfigError(f"{key}: must be >= {bound}, got {v}")
     # each sample is a step index in [0, steps]
     for key in ("n_times", "n_check"):
         if key in cfg and cfg[key] > cfg["steps"] + 1:
-            raise ConfigError(f"{key}: must be <= steps + 1 = {cfg['steps'] + 1}, "
-                              f"got {cfg[key]}")
+            raise ValueError(f"{key}: must be <= steps + 1 = {cfg['steps'] + 1}, "
+                             f"got {cfg[key]}")
     if sub == "floquet" and cfg["scan"] is None and not cfg["equivalence"]:
         cfg["scan"] = "phi_z"
 
@@ -351,7 +338,6 @@ def _run_gauge_check(cfg: dict, rfs: list) -> dict:
     model = IonTrapModel(tau=cfg["tau"])
     rows = []
     deviations = {}
-    worst = 0.0
     for a, rf in zip(cfg["a"], rfs):
         res = gauge_equivalence_check(
             lambda p: build_demo_hamiltonian(model, p), rf, cfg["p"],
@@ -361,10 +347,9 @@ def _run_gauge_check(cfg: dict, rfs: list) -> dict:
             for j, t in enumerate(res.sample_times):
                 rows.append([a, p, t, res.deviations[i, j]])
         deviations[_fmt(a)] = res.max_deviation
-        worst = max(worst, res.max_deviation)
     return {"tables": {"gauge_deviations": (["a", "p", "t", "deviation"], rows)},
             "results": {"max_deviation": deviations},
-            "checks": {"frame_equivalence": _check(worst, cfg["tol"])}}
+            "checks": {"frame_equivalence": _check(max(deviations.values()), cfg["tol"])}}
 
 
 def _run_floquet(cfg: dict, rfs: list) -> dict:
@@ -390,14 +375,11 @@ def _run_floquet(cfg: dict, rfs: list) -> dict:
         results["scan"] = {"axis": cfg["scan"], "points": int(cfg["scan_points"])}
     if cfg["equivalence"]:
         deviations = {}
-        worst = 0.0
         h = build_pumping_h(params)
         for a, rf in zip(cfg["a"], rfs):
-            dev = rescaled_floquet_equivalence(h, rf, cfg["steps"])
-            deviations[_fmt(a)] = dev
-            worst = max(worst, dev)
+            deviations[_fmt(a)] = rescaled_floquet_equivalence(h, rf, cfg["steps"])
         results["equivalence"] = deviations
-        checks["floquet_equivalence"] = _check(worst, cfg["tol"])
+        checks["floquet_equivalence"] = _check(max(deviations.values()), cfg["tol"])
     return {"tables": tables, "results": results, "checks": checks}
 
 

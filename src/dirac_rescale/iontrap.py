@@ -196,7 +196,7 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
     chi_i = instantaneous_eigenstate(model, grid.p, 0.0)
     chi_f = instantaneous_eigenstate(model, grid.p, model.tau)
 
-    sample = sorted({int(round(j * n_steps / (n_times - 1))) for j in range(n_times)})
+    sample = [round(j * n_steps / (n_times - 1)) for j in range(n_times)]
     times, psis = evolve_states(h_resc, 0.0, rf.horizon, n_steps, chi_i, sample)
     if not norm_defect(psis) <= 1e-10:
         raise RuntimeError("per-mode norm drifted beyond 1e-10 during evolution")

@@ -528,14 +528,25 @@ def test_keys_table_covers_every_bounded_key():
         assert bound is not None or help_text
 
 
-@pytest.mark.parametrize("sub,key", [
-    (sub, key) for sub, defaults in DEFAULTS.items() for key in defaults
+@pytest.mark.parametrize("sub,key,source", [
+    pytest.param(sub, key, source, id=f"{sub}-{key}{suffix}")
+    for sub, defaults in DEFAULTS.items() for key in defaults
     if type(_BOUNDS.get(key)) is int
+    for source, suffix in [("flag", ""), ("file", "-file")]
 ])
-def test_integer_lower_bounds(tmp_path, sub, key):
+def test_integer_lower_bounds(tmp_path, capsys, sub, key, source):
+    # the same line from a flag, or from a config file under a valid flag
     out = tmp_path / "run"
-    assert main([sub, _flag(key), str(_BOUNDS[key] - 1), "--out", str(out)]) == 2
+    bad = _BOUNDS[key] - 1
+    if source == "flag":
+        argv = [sub, _flag(key), str(bad)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: bad}))
+        argv = [sub, _flag(key), str(DEFAULTS[sub][key]), "--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
+    assert capsys.readouterr().err == f"error: {key}: must be >= {_BOUNDS[key]}, got {bad}\n"
 
 
 @pytest.mark.parametrize("sub,key,value,extra", [
@@ -566,13 +577,17 @@ def test_flag_and_config_file_agree(tmp_path, sub, key, value, extra):
 
 #: (config key, a bad file value, a valid file value, its flag, the flag's echoed value)
 _OVERRIDDEN = [
-    ("steps", "abc", 64, ["--steps", "32"], 32),
-    ("a", [], [3.0], ["--a", "2"], [2.0]),
-    ("format", "xml", "csv", ["--format", "json"], "json"),
+    pytest.param("steps", "abc", 64, ["--steps", "32"], 32, id="steps"),
+    pytest.param("a", [], [3.0], ["--a", "2"], [2.0], id="a"),
+    pytest.param("format", "xml", "csv", ["--format", "json"], "json", id="format"),
+    pytest.param("steps", 0, 64, ["--steps", "32"], 32, id="steps-bound"),
+    pytest.param("tau", math.nan, 2.0, ["--tau", "1"], 1.0, id="tau-nan"),
+    pytest.param("sigma_p", -1.0, 0.1, ["--sigma-p", "0.05"], 0.05, id="sigma_p-negative"),
+    pytest.param("grid_points", 10**400, 9, ["--grid-points", "9"], 9, id="grid_points-huge"),
 ]
 
 
-@pytest.mark.parametrize("key,bad,good,flag,echoed", _OVERRIDDEN, ids=[k for k, *_ in _OVERRIDDEN])
+@pytest.mark.parametrize("key,bad,good,flag,echoed", _OVERRIDDEN)
 def test_config_file_value_checked_under_its_flag(tmp_path, capsys, key, bad, good, flag,
                                                   echoed):
     # a flag overrides the file's value, but a bad file value still fails the run

@@ -241,7 +241,7 @@ def test_fidelity_rejects_more_samples_than_steps(n_times, n_steps):
                         n_steps=n_steps)
 
 
-@pytest.mark.parametrize("n_times,n_steps", [(5, 4), (2, 1)])
+@pytest.mark.parametrize("n_times,n_steps", [(5, 4), (2, 1), (3, 3), (5, 6)])
 def test_fidelity_accepts_one_sample_per_step(n_times, n_steps):
     model = IonTrapModel(tau=1.0)
     grid = WavepacketGrid.gaussian(p0=0.0, sigma_p=0.05, n_points=9)
