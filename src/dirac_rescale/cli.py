@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -445,6 +446,11 @@ _RUNNERS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """One stderr line per warning, without the source path and line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -453,7 +459,10 @@ def main(argv=None) -> int:
         tau = cfg["T0"] if args.subcommand == "floquet" else cfg["tau"]
         rfs = [RescalingFunction(a=a, tau=tau) for a in cfg["a"]]
         # a non-finite value fails the run below, so numpy need not warn of it first
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the filters stay as set, so a warning made an error still raises
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                warnings.catch_warnings():
+            warnings.showwarning = _print_warning
             outcome = _RUNNERS[args.subcommand](cfg, rfs)
         files = {f"{name}.{cfg['format']}": _table_text(header, rows, cfg["format"])
                  for name, (header, rows) in outcome["tables"].items()}

@@ -30,9 +30,15 @@ evaluating f and df once per call.
 Inside the module a step is held as a real unit quaternion
 (cos x, sin x d/|d|), x = |d| dt, plus the scalar phase d0 dt.
 Steps are composed with the Hamilton product in plain real arithmetic (the
-phases add), by a fixed-order pairwise reduction over blocks of a fixed
-number of steps, so a mode's result is bitwise the same alone or inside
-any batch.  The unitarity check is |q|^2 - 1 of the composed quaternion.
+phases add).  A propagation cuts its window into pieces: each segment
+between two samples is cut every _BLOCK_STEPS steps from its start.  A
+piece is reduced by a fixed-order pairwise tree that depends only on its
+length, and the piece products are chained in order, so a mode's result is
+bitwise the same alone or inside any batch.  One records build serves a
+run of whole pieces of at most _BLOCK_STEPS step-modes (one step of one
+batch element), or one longer piece alone, which bounds the temporaries;
+its pieces of one length are reduced in one call.  The unitarity check is
+|q|^2 - 1 of each sampled quaternion.
 Complex (..., 2, 2) matrices are built only at the API boundary, once per
 call: for the propagators returned, or to apply to spinors.
 """
@@ -243,33 +249,71 @@ def _checked_args(t0, t1, n_steps, sample_steps):
     return (t1 - t0) / n_steps, idx
 
 
+def _piece_products(h, t0, dt, pieces, budget):
+    """Records (5, *batch) of the product of each piece (lo, hi), in order.
+
+    One records build covers a run of whole pieces of at most ``budget``
+    steps, or one longer piece alone.  Within a build the pieces of one
+    length share their pairwise tree, so they are reduced in one call.
+    """
+    first = 0
+    while first < len(pieces):
+        lo = pieces[first][0]
+        last = first + 1
+        while last < len(pieces) and pieces[last][1] - lo <= budget:
+            last += 1
+        steps = _cf4_records(h, t0, dt, lo, pieces[last - 1][1])
+        starts, ends = (np.array(pieces[first:last]) - lo).T
+        lengths = ends - starts
+        products = np.empty((5, last - first) + steps.shape[2:])
+        # a set, not np.unique, which imports numpy.ma (1.4 MiB) on first use
+        for n in set(lengths.tolist()):
+            at = np.flatnonzero(lengths == n)
+            if ends[at[-1]] - starts[at[0]] == at.size * n:
+                # side by side: a view, so a long piece is not copied
+                group = steps[:, starts[at[0]]:ends[at[-1]]]
+                group = group.reshape((5, at.size, n) + steps.shape[2:])
+            else:
+                group = steps[:, np.add.outer(starts[at], np.arange(n))]
+            products[:, at] = _ordered_product(group.swapaxes(1, 2))
+        yield from products.swapaxes(0, 1)
+        first = last
+
+
 def _sampled_records(h, t0, t1, n_steps, sample_steps):
     """Sample times and the records (5, n_samples, *batch) of U(t0 + k*dt <- t0)
     at each sample index k.
 
-    CF4 steps are built and composed in blocks of _BLOCK_STEPS from the
-    previous sample, and each sampled record must be unit to
-    _UNITARITY_TOL (NaN fails the check).
+    Each segment between two samples is cut into pieces every _BLOCK_STEPS
+    steps from its start.  The pieces are built by :func:`_piece_products`,
+    at most _BLOCK_STEPS step-modes (one step of one batch element) per
+    build unless one piece is longer, and chained in order, so each record
+    has the bits of its segments reduced one at a time.  Every record must
+    be unit to _UNITARITY_TOL (NaN fails the check); UnitarityError carries
+    the defect of the first sample that is not.
     """
     dt, idx = _checked_args(t0, t1, n_steps, sample_steps)
     u = np.zeros((5,) + np.shape(h.coeffs(t0 + 0.5 * dt)[0]))
     u[0] = 1.0
     records = np.empty((5, len(idx)) + u.shape[1:])
-    prev = 0
+    segments = list(zip([0] + idx, idx))
+    pieces = [(lo, min(lo + _BLOCK_STEPS, k))
+              for prev, k in segments for lo in range(prev, k, _BLOCK_STEPS)]
+    products = _piece_products(h, t0, dt, pieces, _BLOCK_STEPS // max(u[0].size, 1))
     # inf or NaN from coefficients too large for the step (a2 < 0 makes inf - inf,
     # huge phases overflow as they add) is left to the unitarity check
     with np.errstate(invalid="ignore", over="ignore"):
-        for i, k in enumerate(idx):
-            for lo in range(prev, k, _BLOCK_STEPS):
-                steps = _cf4_records(h, t0, dt, lo, min(lo + _BLOCK_STEPS, k))
-                u = _compose(_ordered_product(steps), u)
-            prev = k
-            w, x, y, z, phase = u
-            # 0 * phase is NaN for a non-finite phase, so the check fails on it too
-            defect = float(np.max(np.abs(w * w + x * x + y * y + z * z - 1.0) + 0.0 * phase))
-            if not defect <= _UNITARITY_TOL:
-                raise UnitarityError(defect, _UNITARITY_TOL)
+        for i, (prev, k) in enumerate(segments):
+            for _ in range(prev, k, _BLOCK_STEPS):
+                u = _compose(next(products), u)
             records[:, i] = u
+        w, x, y, z, phase = records
+        # 0 * phase is NaN for a non-finite phase, so the check fails on it too
+        defect = np.abs(w * w + x * x + y * y + z * z - 1.0) + 0.0 * phase
+        defect = np.max(defect, axis=tuple(range(1, defect.ndim)))
+    failed = np.flatnonzero(~(defect <= _UNITARITY_TOL))
+    if failed.size:
+        raise UnitarityError(float(defect[failed[0]]), _UNITARITY_TOL)
     return t0 + np.asarray(idx, dtype=float) * dt, records
 
 

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -324,6 +326,29 @@ def test_out_of_range_input_fails_without_numpy_warning(tmp_path, capsys, argv, 
     assert not out.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(err)
+
+
+def test_library_warning_prints_one_line(tmp_path):
+    # each warning is one 'warning:' line, with no source path or source line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "dirac_rescale.cli", "iontrap", "--p0", "1",
+                           "--out", "run"], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert proc.stderr == (
+        "warning: grid contains modes within 1e-6 of the gap-closure momentum p = 1\n"
+        "warning: mode sits on the gap-closure point (p = 1, t = tau); "
+        "eigenstate direction is undefined there\n")
+
+
+def test_warning_filtered_as_error_still_raises(tmp_path):
+    # main prints warnings its own way but leaves the caller's filters in force
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="pumping period"):
+            main(["floquet", "--Omega", "1", "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

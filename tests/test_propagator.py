@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from dirac_rescale import propagator
 from dirac_rescale.gauge import transformed_hamiltonian
 from dirac_rescale.iontrap import IonTrapModel, build_demo_hamiltonian
 
@@ -356,3 +357,134 @@ def test_unitarity_defect_nan_is_inf(dtype):
     u = _EXACT_UNITARY.astype(dtype)
     u[0, 0] = np.nan
     assert unitarity_defect(u) == float("inf")
+
+
+def _segment_records(h, t0, t1, n_steps, sample_steps):
+    """Reference for ``_sampled_records``: each segment between samples built
+    and reduced in blocks of _BLOCK_STEPS from its start, the blocks chained in
+    order, and the unitarity check run per sample as it is reached."""
+    dt, idx = propagator._checked_args(t0, t1, n_steps, sample_steps)
+    block, tol = propagator._BLOCK_STEPS, propagator._UNITARITY_TOL
+    u = np.zeros((5,) + np.shape(h.coeffs(t0 + 0.5 * dt)[0]))
+    u[0] = 1.0
+    records = np.empty((5, len(idx)) + u.shape[1:])
+    prev = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, k in enumerate(idx):
+            for lo in range(prev, k, block):
+                steps = propagator._cf4_records(h, t0, dt, lo, min(lo + block, k))
+                u = propagator._compose(propagator._ordered_product(steps), u)
+            prev = k
+            w, x, y, z, phase = u
+            defect = float(np.max(np.abs(w * w + x * x + y * y + z * z - 1.0) + 0.0 * phase))
+            if not defect <= tol:
+                raise UnitarityError(defect, tol)
+            records[:, i] = u
+    return t0 + np.asarray(idx, dtype=float) * dt, records
+
+
+@st.composite
+def _sampled_windows(draw):
+    """(n_steps, ascending samples) with duplicates, 0, n_steps and uneven gaps."""
+    n_steps = draw(st.integers(1, 120))
+    samples = draw(st.lists(st.integers(0, n_steps), max_size=8))
+    samples += draw(st.lists(st.sampled_from([0, n_steps]), max_size=2))
+    return n_steps, sorted(samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window=_sampled_windows(),
+    block=st.integers(1, 16),
+    p=st.one_of(st.floats(-1.0, 1.0), hnp.arrays(float, st.integers(1, 5), elements=st.floats(-1.0, 1.0))),
+)
+@example(window=(100, [0, 0, 3, 17, 17, 50, 99, 100]), block=8, p=np.array([0.1, -0.4, 0.7]))
+@example(window=(64, [0, 8, 16, 24, 32, 40, 48, 56, 64]), block=8, p=0.3)
+@example(window=(12, [0, 1, 3, 4, 6, 7, 9, 10, 12]), block=8, p=np.array([0.2, -0.5]))
+def test_sampled_records_match_segment_loop_bitwise(window, block, p):
+    # pieces split at block boundaries and builds bounded by the step-mode
+    # budget give the bits of the per-segment loop, batch () and (m,) alike
+    n_steps, samples = window
+    h = demo_hamiltonian(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagator, "_BLOCK_STEPS", block)
+        times, records = propagator._sampled_records(h, 0.0, 1.0, n_steps, samples)
+        ref_times, ref_records = _segment_records(h, 0.0, 1.0, n_steps, samples)
+    assert np.array_equal(times, ref_times)
+    assert records.shape == ref_records.shape and np.array_equal(records, ref_records)
+
+
+@pytest.mark.parametrize("p", [0.3, np.array([-0.2, 0.3, 0.6])], ids=["batch1", "batch3"])
+def test_unitarity_error_reports_first_sample_past_blow_up(p):
+    # d0 leaves float range in step 23 (t > 92, dt = 4): samples up to 23 pass,
+    # and the error carries the defect of sample 24, the one the loop reports
+    n_steps, samples = 60, [0, 10, 23, 24, 40, 60]
+    base, batched = demo_hamiltonian(p), np.ndim(p) > 0
+
+    def terms(t):
+        d0 = np.where(t > 92.0, 1e308, 0.0)
+        return (d0[..., None] if batched else d0,) + tuple(base.terms(t)[1:])
+
+    h = PauliHamiltonian(terms)
+    t1 = 4.0 * n_steps
+    _, us = propagate_sampled(h, 0.0, t1, n_steps, samples[:3])
+    assert unitarity_defect(us) < 1e-12
+    with pytest.raises(UnitarityError) as got:
+        propagate_sampled(h, 0.0, t1, n_steps, samples)
+    with pytest.raises(UnitarityError) as want:
+        _segment_records(h, 0.0, t1, n_steps, samples)
+    assert math.isnan(got.value.defect) and str(got.value) == str(want.value)
+
+
+def test_unitarity_error_reports_first_failing_sample_not_largest(monkeypatch):
+    # with a bound below the rounding defects, the first sample over it is
+    # reported with its own defect, which is not the largest of the run
+    h = demo_hamiltonian(np.linspace(-0.3, 0.3, 4))
+    samples = list(range(0, 401, 25))
+    _, records = propagator._sampled_records(h, 0.0, 1.0, 400, samples)
+    w, x, y, z, _ = records
+    defects = np.max(np.abs(w * w + x * x + y * y + z * z - 1.0), axis=1)
+    tol = np.min(defects[defects > 0]) / 2
+    first = int(np.flatnonzero(defects > tol)[0])
+    assert defects[first] < np.max(defects)
+    monkeypatch.setattr(propagator, "_UNITARITY_TOL", tol)
+    with pytest.raises(UnitarityError) as got:
+        propagator._sampled_records(h, 0.0, 1.0, 400, samples)
+    with pytest.raises(UnitarityError) as want:
+        _segment_records(h, 0.0, 1.0, 400, samples)
+    assert got.value.defect == want.value.defect == defects[first]
+
+
+@pytest.mark.parametrize("n_steps,samples,p,block,max_builds", [
+    # the iontrap packet: 256 steps, 33 samples, 129 modes (32 segments)
+    (256, [round(j * 256 / 32) for j in range(33)], np.linspace(-0.5, 0.5, 129), None, 12),
+    # uneven pieces: three builds of 9 pieces at one mode, eight at three modes,
+    # where the 3-step piece is longer than the budget of 8 // 3 steps
+    (17, [0, 1, 2, 3, 5, 8, 9, 12, 16, 17], 0.2, 8, 3),
+    (17, [0, 1, 2, 3, 5, 8, 9, 12, 16, 17], np.array([0.1, 0.5, -0.3]), 8, 8),
+    # one segment longer than a block: each block-long piece is built alone
+    (40, [0, 0, 40], np.array([0.1, 0.5]), 8, 5),
+])
+def test_records_builds_cover_whole_pieces_within_budget(monkeypatch, n_steps, samples, p,
+                                                         block, max_builds):
+    # a build never exceeds the step-mode budget unless one piece alone does,
+    # which keeps the records temporaries (and so peak memory) bounded
+    if block is not None:
+        monkeypatch.setattr(propagator, "_BLOCK_STEPS", block)
+    block = propagator._BLOCK_STEPS
+    builds = []
+    cf4_records = propagator._cf4_records
+
+    def spy(h, t0, dt, lo, hi):
+        builds.append((lo, hi))
+        return cf4_records(h, t0, dt, lo, hi)
+
+    monkeypatch.setattr(propagator, "_cf4_records", spy)
+    propagator._sampled_records(demo_hamiltonian(p), 0.0, 1.0, n_steps, samples)
+    pieces = [(lo, min(lo + block, k)) for prev, k in zip([0] + samples, samples)
+              for lo in range(prev, k, block)]
+    cuts = {0} | {hi for _, hi in pieces}
+    limit = max(max(hi - lo for lo, hi in pieces), block // np.size(p))
+    assert [lo for lo, _ in builds] + [samples[-1]] == [0] + [hi for _, hi in builds]
+    assert all(lo in cuts and hi in cuts and hi - lo <= limit for lo, hi in builds)
+    assert len(builds) <= max_builds
