@@ -137,12 +137,12 @@ DEFAULTS = {
 #: each key's bound and flag help, for every subcommand that has the key.  The
 #: bound is the list of allowed strings, the smallest allowed number, or
 #: "positive"; None is neither.  A key with no bound and no help has no entry.
-#: a and tau have no bound here: main builds every RescalingFunction before any
-#: work, and it refuses a < 1 and tau <= 0 itself.  floquet rescales T0, so T0
-#: is bounded here, where its message can name T0.
+#: RescalingFunction and WeylModelParams refuse a < 1, tau <= 0 and Omega <= 0
+#: too, but they see only the resolved value, not a file value under a flag.
+#: floquet rescales T0, which is bounded here so that its message names T0.
 KEYS = {
-    "a": (None, "contraction factor(s); repeat for several runs"),
-    "tau": (None, "original process duration"),
+    "a": (1, "contraction factor(s); repeat for several runs"),
+    "tau": ("positive", "original process duration"),
     "T0": ("positive", "pumping window, the duration that --a contracts"),
     "steps": (1, "time steps per window"),
     "out": (None, "output directory"),
@@ -162,6 +162,7 @@ KEYS = {
     "potential": (["harmonic", "quartic"], None),
     # appendix --mode coeffs builds no ClassicalModel, which would refuse it
     "mass": ("positive", None),
+    "Omega": ("positive", None),
 }
 
 

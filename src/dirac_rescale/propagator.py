@@ -30,15 +30,16 @@ evaluating f and df once per call.
 Inside the module a step is held as a real unit quaternion
 (cos x, sin x d/|d|), x = |d| dt, plus the scalar phase d0 dt.
 Steps are composed with the Hamilton product in plain real arithmetic (the
-phases add).  A propagation cuts its window into pieces: each segment
-between two samples is cut every _BLOCK_STEPS steps from its start.  A
-piece is reduced by a fixed-order pairwise tree that depends only on its
-length, and the piece products are chained in order, so a mode's result is
-bitwise the same alone or inside any batch.  One records build serves a
-run of whole pieces of at most _BLOCK_STEPS step-modes (one step of one
-batch element), or one longer piece alone, which bounds the temporaries;
-its pieces of one length are reduced in one call.  The unitarity check is
-|q|^2 - 1 of each sampled quaternion.
+phases add).  A propagation walks its window in pieces: each segment
+between two samples is cut every _BLOCK_STEPS steps from its start, as the
+walk reaches it, so the memory held before the first step does not grow
+with the step count.  A piece is reduced by a fixed-order pairwise tree
+that depends only on its length, and the piece products are chained in
+order, so a mode's result is bitwise the same alone or inside any batch.
+One records build serves a run of whole pieces of at most _BLOCK_STEPS
+step-modes (one step of one batch element), or one longer piece alone,
+which bounds the temporaries; its pieces of one length are reduced in one
+call.  The unitarity check is |q|^2 - 1 of each sampled quaternion.
 Complex (..., 2, 2) matrices are built only at the API boundary, once per
 call: for the propagators returned, or to apply to spinors.
 """
@@ -46,6 +47,7 @@ call: for the propagators returned, or to apply to spinors.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,7 +75,7 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: |d|*dt below which the sin/cos Taylor branch is used
+#: |d|*dt below which sin(x)/|d| is taken as dt (cos(x) is 1.0 there already)
 _SMALL_ANGLE = 1e-14
 
 #: steps composed per block; fixed, so a mode's result does not depend on its batch
@@ -157,11 +159,10 @@ def _su2_step(d0, dx, dy, dz, dt):
         x = nd * dt
         out[0] = np.cos(x)
         sin_over_d = np.sin(x) / nd
-        small = x < _SMALL_ANGLE
+        small = np.abs(x) < _SMALL_ANGLE  # dt < 0 steps backwards
         if np.any(small):
-            # sin(x)/|d| == dt sinc(x); Taylor branch avoids 0/0 at |d| -> 0
-            np.copyto(out[0, ...], 1.0 - 0.5 * x * x, where=small)
-            sin_over_d = np.where(small, dt * (1.0 - x * x / 6.0), sin_over_d)
+            # sin(x)/|d| == dt sinc(x), which rounds to dt there; avoids 0/0 at |d| -> 0
+            sin_over_d = np.where(small, dt, sin_over_d)
         np.multiply(sin_over_d, dx, out=out[1, ...])
         np.multiply(sin_over_d, dy, out=out[2, ...])
         np.multiply(sin_over_d, dz, out=out[3, ...])
@@ -249,64 +250,57 @@ def _checked_args(t0, t1, n_steps, sample_steps):
     return (t1 - t0) / n_steps, idx
 
 
-def _piece_products(h, t0, dt, pieces, budget):
-    """Records (5, *batch) of the product of each piece (lo, hi), in order.
-
-    One records build covers a run of whole pieces of at most ``budget``
-    steps, or one longer piece alone.  Within a build the pieces of one
-    length share their pairwise tree, so they are reduced in one call.
-    """
-    first = 0
-    while first < len(pieces):
-        lo = pieces[first][0]
-        last = first + 1
-        while last < len(pieces) and pieces[last][1] - lo <= budget:
-            last += 1
-        steps = _cf4_records(h, t0, dt, lo, pieces[last - 1][1])
-        starts, ends = (np.array(pieces[first:last]) - lo).T
-        lengths = ends - starts
-        products = np.empty((5, last - first) + steps.shape[2:])
-        # a set, not np.unique, which imports numpy.ma (1.4 MiB) on first use
-        for n in set(lengths.tolist()):
-            at = np.flatnonzero(lengths == n)
-            if ends[at[-1]] - starts[at[0]] == at.size * n:
-                # side by side: a view, so a long piece is not copied
-                group = steps[:, starts[at[0]]:ends[at[-1]]]
-                group = group.reshape((5, at.size, n) + steps.shape[2:])
-            else:
-                group = steps[:, np.add.outer(starts[at], np.arange(n))]
-            products[:, at] = _ordered_product(group.swapaxes(1, 2))
-        yield from products.swapaxes(0, 1)
-        first = last
-
-
 def _sampled_records(h, t0, t1, n_steps, sample_steps):
     """Sample times and the records (5, n_samples, *batch) of U(t0 + k*dt <- t0)
     at each sample index k.
 
     Each segment between two samples is cut into pieces every _BLOCK_STEPS
-    steps from its start.  The pieces are built by :func:`_piece_products`,
-    at most _BLOCK_STEPS step-modes (one step of one batch element) per
-    build unless one piece is longer, and chained in order, so each record
-    has the bits of its segments reduced one at a time.  Every record must
-    be unit to _UNITARITY_TOL (NaN fails the check); UnitarityError carries
-    the defect of the first sample that is not.
+    steps from its start, as the walk reaches it, so the memory held before
+    the first step does not grow with n_steps.  One records build covers a
+    run of whole pieces of at most _BLOCK_STEPS step-modes (one step of one
+    batch element), or one longer piece alone; within it the pieces of one
+    length share their pairwise tree, so they are reduced in one call.  The
+    piece products are chained in order, so each record has the bits of its
+    segments reduced one at a time.  Every record must be unit to
+    _UNITARITY_TOL (NaN fails the check); UnitarityError carries the defect
+    of the first sample that is not.
     """
     dt, idx = _checked_args(t0, t1, n_steps, sample_steps)
     u = np.zeros((5,) + np.shape(h.coeffs(t0 + 0.5 * dt)[0]))
     u[0] = 1.0
     records = np.empty((5, len(idx)) + u.shape[1:])
-    segments = list(zip([0] + idx, idx))
-    pieces = [(lo, min(lo + _BLOCK_STEPS, k))
-              for prev, k in segments for lo in range(prev, k, _BLOCK_STEPS)]
-    products = _piece_products(h, t0, dt, pieces, _BLOCK_STEPS // max(u[0].size, 1))
+    records[:, :bisect_right(idx, 0)] = u[:, None]
+    budget = _BLOCK_STEPS // max(u[0].size, 1)
+    ends = (min(lo + _BLOCK_STEPS, k) for prev, k in zip([0] + idx, idx)
+            for lo in range(prev, k, _BLOCK_STEPS))
+    # the pieces tile [0, idx[-1]], so each starts where the one before ended
+    lo, hi = 0, next(ends, None)
     # inf or NaN from coefficients too large for the step (a2 < 0 makes inf - inf,
     # huge phases overflow as they add) is left to the unitarity check
     with np.errstate(invalid="ignore", over="ignore"):
-        for i, (prev, k) in enumerate(segments):
-            for _ in range(prev, k, _BLOCK_STEPS):
-                u = _compose(next(products), u)
-            records[:, i] = u
+        while hi is not None:
+            # one build: whole pieces within budget steps of lo, the first always
+            cuts = [lo, hi]
+            while (hi := next(ends, None)) is not None and hi - lo <= budget:
+                cuts.append(hi)
+            steps = _cf4_records(h, t0, dt, lo, cuts[-1])
+            starts, stops = np.array(cuts[:-1]) - lo, np.array(cuts[1:]) - lo
+            lengths = stops - starts
+            products = np.empty((5, lengths.size) + steps.shape[2:])
+            # a set, not np.unique, which imports numpy.ma (1.4 MiB) on first use
+            for n in set(lengths.tolist()):
+                at = np.flatnonzero(lengths == n)
+                if stops[at[-1]] - starts[at[0]] == at.size * n:
+                    # side by side: a view, so a long piece is not copied
+                    group = steps[:, starts[at[0]]:stops[at[-1]]]
+                    group = group.reshape((5, at.size, n) + steps.shape[2:])
+                else:
+                    group = steps[:, np.add.outer(starts[at], np.arange(n))]
+                products[:, at] = _ordered_product(group.swapaxes(1, 2))
+            for end, product in zip(cuts[1:], products.swapaxes(0, 1)):
+                u = _compose(product, u)
+                records[:, bisect_left(idx, end):bisect_right(idx, end)] = u[:, None]
+            lo = cuts[-1]
         w, x, y, z, phase = records
         # 0 * phase is NaN for a non-finite phase, so the check fails on it too
         defect = np.abs(w * w + x * x + y * y + z * z - 1.0) + 0.0 * phase

@@ -424,7 +424,7 @@ def test_appendix_coeffs_overflow_is_config_error(tmp_path, capsys, fmt):
      "error: rescaling fails boundary conditions at a = 1e+16, tau = 1.0: "),
     ("floquet --a 1e16", "scan_quasienergies",
      "error: rescaling fails boundary conditions at a = 1e+16, tau = 50.0: "),
-    ("iontrap --a 1 --a 0.5", "fidelity_curves", "error: a: contraction factor must be >= 1, got 0.5"),
+    ("iontrap --a 1 --a 0.5", "fidelity_curves", "error: a: must be >= 1, got 0.5"),
     ("gauge-check --tau 0", "gauge_equivalence_check", "error: tau: must be positive, got 0.0"),
     ("floquet --equivalence --T0 -1", "rescaled_floquet_equivalence",
      "error: T0: must be positive, got -1.0"),
@@ -526,10 +526,9 @@ def test_gauge_check_config_has_no_mass_or_c(tmp_path, sub, key):
     assert not out.exists()
 
 
-#: every bounded key: KEYS's bounds, and the two that RescalingFunction checks
-#: when main builds it, before --out exists
+#: every bounded key; a is a float, so its edge below the bound is the float below 1
 _BOUNDS = {**{key: bound for key, (bound, _) in KEYS.items() if bound is not None},
-           "a": 1.0, "tau": "positive"}
+           "a": 1.0}
 
 
 def test_keys_table_covers_every_bounded_key():
@@ -600,26 +599,33 @@ def test_flag_and_config_file_agree(tmp_path, sub, key, value, extra):
     assert json.loads(runs[0]["summary.json"])["config"][key] == value
 
 
-#: (config key, a bad file value, a valid file value, its flag, the flag's echoed value)
+#: (subcommand, config key, a bad file value, a valid file value, its flag, the
+#: flag's echoed value)
 _OVERRIDDEN = [
-    pytest.param("steps", "abc", 64, ["--steps", "32"], 32, id="steps"),
-    pytest.param("a", [], [3.0], ["--a", "2"], [2.0], id="a"),
-    pytest.param("format", "xml", "csv", ["--format", "json"], "json", id="format"),
-    pytest.param("steps", 0, 64, ["--steps", "32"], 32, id="steps-bound"),
-    pytest.param("tau", math.nan, 2.0, ["--tau", "1"], 1.0, id="tau-nan"),
-    pytest.param("sigma_p", -1.0, 0.1, ["--sigma-p", "0.05"], 0.05, id="sigma_p-negative"),
-    pytest.param("grid_points", 10**400, 9, ["--grid-points", "9"], 9, id="grid_points-huge"),
+    pytest.param("iontrap", "steps", "abc", 64, ["--steps", "32"], 32, id="steps"),
+    pytest.param("iontrap", "a", [], [3.0], ["--a", "2"], [2.0], id="a"),
+    pytest.param("iontrap", "format", "xml", "csv", ["--format", "json"], "json", id="format"),
+    pytest.param("iontrap", "steps", 0, 64, ["--steps", "32"], 32, id="steps-bound"),
+    pytest.param("iontrap", "tau", math.nan, 2.0, ["--tau", "1"], 1.0, id="tau-nan"),
+    pytest.param("iontrap", "sigma_p", -1.0, 0.1, ["--sigma-p", "0.05"], 0.05,
+                 id="sigma_p-negative"),
+    pytest.param("iontrap", "grid_points", 10**400, 9, ["--grid-points", "9"], 9,
+                 id="grid_points-huge"),
+    # bounds that RescalingFunction and WeylModelParams apply to the resolved value too
+    pytest.param("iontrap", "a", [0], [3.0], ["--a", "2"], [2.0], id="a-bound"),
+    pytest.param("iontrap", "tau", -1.0, 2.0, ["--tau", "1"], 1.0, id="tau-bound"),
+    pytest.param("floquet", "Omega", -1.0, 3.0, ["--Omega", repr(2 * math.pi)], 2 * math.pi,
+                 id="floquet-Omega-bound"),
 ]
 
 
-@pytest.mark.parametrize("key,bad,good,flag,echoed", _OVERRIDDEN)
-def test_config_file_value_checked_under_its_flag(tmp_path, capsys, key, bad, good, flag,
+@pytest.mark.parametrize("sub,key,bad,good,flag,echoed", _OVERRIDDEN)
+def test_config_file_value_checked_under_its_flag(tmp_path, capsys, sub, key, bad, good, flag,
                                                   echoed):
     # a flag overrides the file's value, but a bad file value still fails the run
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "run"
-    argv = ["iontrap", "--steps", "32", "--grid-points", "9", *flag,
-            "--config", str(cfg), "--out", str(out)]
+    argv = [sub, *_SMALL_RUN[sub], *flag, "--config", str(cfg), "--out", str(out)]
     cfg.write_text(json.dumps({key: bad}))
     assert main(argv) == 2
     assert not out.exists()

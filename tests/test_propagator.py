@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,13 +84,22 @@ def test_step_rejects_bad_input():
 @example(d=np.array([0.3, 1.0, 0.0, 1.0]), log_scale=-20.0, dt=0.1)
 @example(d=np.array([-0.5, 0.8, -0.6, 0.1]), log_scale=4.0, dt=10.0)
 def test_step_unitary_and_matches_expm(d, log_scale, dt):
-    # |d| dt spans the Taylor branch (< 1e-14) up to ~2e5
+    # |d| dt spans the small-angle branch (< 1e-14) up to ~2e5
     d0, dx, dy, dz = d * 10.0**log_scale
     u = su2_exponential(d0, dx, dy, dz, dt)
     assert unitarity_defect(u) <= 1e-14
     reference = expm(-1j * (d0 * IDENTITY2 + dx * PAULI_X + dy * PAULI_Y + dz * PAULI_Z) * dt)
     angle = (abs(d0) + np.sqrt(dx * dx + dy * dy + dz * dz)) * dt
     assert np.max(np.abs(u - reference)) <= 1e-12 * max(1.0, angle)
+
+
+def test_backward_step_inverts_forward_step():
+    # dt < 0 steps backwards: x = |d| dt < 0 is not a small angle
+    d = (0.2, 1.0, -0.5, 0.3)
+    h = d[0] * IDENTITY2 + d[1] * PAULI_X + d[2] * PAULI_Y + d[3] * PAULI_Z
+    back = su2_exponential(*d, -0.7)
+    assert np.max(np.abs(back - expm(0.7j * h))) <= 1e-14
+    assert np.max(np.abs(back @ su2_exponential(*d, 0.7) - IDENTITY2)) <= 1e-14
 
 
 def test_propagate_constant_hamiltonian():
@@ -401,6 +411,11 @@ def _sampled_windows(draw):
 @example(window=(100, [0, 0, 3, 17, 17, 50, 99, 100]), block=8, p=np.array([0.1, -0.4, 0.7]))
 @example(window=(64, [0, 8, 16, 24, 32, 40, 48, 56, 64]), block=8, p=0.3)
 @example(window=(12, [0, 1, 3, 4, 6, 7, 9, 10, 12]), block=8, p=np.array([0.2, -0.5]))
+# no pieces: every record is the identity filled in before the walk, or there are none
+@example(window=(5, [0, 0]), block=8, p=0.3)
+@example(window=(5, [0, 0]), block=8, p=np.array([0.1, -0.4, 0.7]))
+@example(window=(5, []), block=8, p=0.3)
+@example(window=(5, []), block=8, p=np.array([0.1, -0.4, 0.7]))
 def test_sampled_records_match_segment_loop_bitwise(window, block, p):
     # pieces split at block boundaries and builds bounded by the step-mode
     # budget give the bits of the per-segment loop, batch () and (m,) alike
@@ -412,6 +427,27 @@ def test_sampled_records_match_segment_loop_bitwise(window, block, p):
         ref_times, ref_records = _segment_records(h, 0.0, 1.0, n_steps, samples)
     assert np.array_equal(times, ref_times)
     assert records.shape == ref_records.shape and np.array_equal(records, ref_records)
+
+
+def test_memory_before_first_build_follows_samples_not_steps(monkeypatch):
+    # pieces are cut as the walk reaches them: a window of 10**9 steps and two
+    # samples holds no list of its ~244000 pieces before the first records build
+    class FirstBuild(Exception):
+        pass
+
+    def first_build(*args):
+        raise FirstBuild
+
+    monkeypatch.setattr(propagator, "_cf4_records", first_build)
+    h = PauliHamiltonian.constant(dx=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstBuild):
+            propagator._sampled_records(h, 0.0, 1.0, 10**9, [0, 10**9])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("p", [0.3, np.array([-0.2, 0.3, 0.6])], ids=["batch1", "batch3"])
