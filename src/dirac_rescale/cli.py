@@ -1,10 +1,12 @@
 """Experiment runner: wires flags/config files to the library and writes artifacts.
 
 Every run produces a versioned JSON summary (echoing the fully resolved
-configuration) plus plot-ready tables.  A runner only computes; ``main``
-creates ``--out`` and writes every artifact once the run has finished, or
-none of them.  Output is deterministic: no RNG, fixed-order reductions and
-17-significant-digit float formatting, so repeated runs are byte-identical.
+configuration) plus plot-ready tables of float columns, written as ``%.17g``
+in CSV and as numbers in JSON; a NaN or Infinity in a table fails either
+format with one message.  A runner only computes; ``main`` creates ``--out``
+and writes every artifact once the run has finished, or none of them.
+Output is deterministic: no RNG and fixed-order reductions, so repeated
+runs are byte-identical.
 
 Exit codes: 0 ok, 2 configuration error (including any non-finite value and
 a size too large to allocate), 3 a built-in check exceeded its tolerance or
@@ -53,8 +55,11 @@ EXIT_TOLERANCE = 3
 EXIT_IO = 4
 
 
+_FLOAT = "%.17g"
+
+
 def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+    return _FLOAT % float(x)
 
 
 _COMMON = {"out": ".", "format": "csv", "config": None}
@@ -261,36 +266,29 @@ def _validate(sub: str, cfg: dict) -> None:
         cfg["scan"] = "phi_z"
 
 
-def _json_text(doc, what: str) -> str:
-    """Strict JSON; a NaN or infinite value raises RuntimeError naming ``what``."""
+def _json_text(doc) -> str:
+    """Strict JSON; a NaN or infinite value raises RuntimeError."""
     try:
         return json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise RuntimeError(f"{what} ({exc})") from exc
+        raise RuntimeError(f"non-finite result ({exc})") from exc
 
 
-def _table_text(header: list[str], rows: list[list], fmt: str) -> str:
-    """The table as CSV or JSON; a NaN or infinite entry raises RuntimeError."""
+def _table_text(header: list[str], blocks: list[tuple], fmt: str) -> str:
+    """The blocks' rows as CSV or JSON; a NaN or infinite value raises RuntimeError.
+
+    A block holds one column per header name: floats and arrays that broadcast
+    to one shape, whose entries in C order are the block's rows.
+    """
+    table = np.vstack([np.column_stack([c.ravel() for c in np.broadcast_arrays(*block)])
+                       for block in blocks])
+    bad = ~np.isfinite(table)
+    if bad.any():
+        raise RuntimeError(f"non-finite table value {table[bad][0]}")
     if fmt == "json":
-        return _json_text([dict(zip(header, row)) for row in rows], "non-finite table value")
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, float, np.floating)):
-                if not math.isfinite(v):
-                    raise RuntimeError(f"non-finite table value {v}")
-                cells.append(_fmt(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _summary_text(sub: str, cfg: dict, results: dict, checks: dict, passed: bool) -> str:
-    doc = {"schema": SCHEMA_VERSION, "subcommand": sub, "config": cfg,
-           "results": results, "checks": checks, "passed": passed}
-    return _json_text(doc, "non-finite result")
+        return _json_text([dict(zip(header, row)) for row in table.tolist()])
+    line = ",".join([_FLOAT] * len(header))
+    return "\n".join([",".join(header), *(line % tuple(row) for row in table.tolist())]) + "\n"
 
 
 def _publish(out_dir: str, files: dict[str, str]) -> None:
@@ -322,34 +320,32 @@ def _run_iontrap(cfg: dict, rfs: list) -> dict:
     model = IonTrapModel(tau=cfg["tau"])
     grid = WavepacketGrid.gaussian(p0=cfg["p0"], sigma_p=cfg["sigma_p"],
                                    n_points=cfg["grid_points"])
-    rows = []
+    blocks = []
     terminal = {}
     for a, rf in zip(cfg["a"], rfs):
         curves = fidelity_curves(model, rf, grid, n_times=cfg["n_times"],
                                  n_steps=cfg["steps"], mode=cfg["fidelity_mode"])
-        for t, fi, ff in zip(curves.t, curves.f_initial, curves.f_final):
-            rows.append([a, t, fi, ff])
+        blocks.append((a, curves.t, curves.f_initial, curves.f_final))
         terminal[_fmt(a)] = {"t": float(curves.t[-1]), "F_i": float(curves.f_initial[-1]),
                              "F_f": float(curves.f_final[-1])}
-    return {"tables": {"fidelity": (["a", "t", "F_i", "F_f"], rows)},
+    return {"tables": {"fidelity": (["a", "t", "F_i", "F_f"], blocks)},
             "results": {"terminal": terminal}, "checks": {}}
 
 
 def _run_gauge_check(cfg: dict, rfs: list) -> dict:
     """Frame-equivalence deviation report."""
     model = IonTrapModel(tau=cfg["tau"])
-    rows = []
+    blocks = []
     deviations = {}
     for a, rf in zip(cfg["a"], rfs):
         res = gauge_equivalence_check(
             lambda p: build_demo_hamiltonian(model, p), rf, cfg["p"],
             n_steps=cfg["steps"], n_check=cfg["n_check"],
         )
-        for i, p in enumerate(res.momenta):
-            for j, t in enumerate(res.sample_times):
-                rows.append([a, p, t, res.deviations[i, j]])
+        # rows run over t within each p
+        blocks.append((a, res.momenta[:, None], res.sample_times, res.deviations))
         deviations[_fmt(a)] = res.max_deviation
-    return {"tables": {"gauge_deviations": (["a", "p", "t", "deviation"], rows)},
+    return {"tables": {"gauge_deviations": (["a", "p", "t", "deviation"], blocks)},
             "results": {"max_deviation": deviations},
             "checks": {"frame_equivalence": _check(max(deviations.values()), cfg["tol"])}}
 
@@ -367,13 +363,11 @@ def _run_floquet(cfg: dict, rfs: list) -> dict:
     if cfg["scan"] is not None:
         values = np.linspace(cfg["scan_min"], cfg["scan_max"], cfg["scan_points"])
         energies = scan_quasienergies(params, cfg["scan"], values, cfg["period_steps"])
-        rows = []
-        for v, (e1, e2) in zip(values, energies):
-            # rows echo the requested value; the scan uses it zone-wrapped
-            fields = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z,
-                      cfg["scan"]: float(v)}
-            rows.append([fields["k"], fields["phi_y"], fields["phi_z"], e1, e2])
-        tables["quasienergies"] = (["k", "phi_y", "phi_z", "E1", "E2"], rows)
+        # rows echo the requested value; the scan uses it zone-wrapped
+        fields = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z,
+                  cfg["scan"]: values}
+        tables["quasienergies"] = (["k", "phi_y", "phi_z", "E1", "E2"],
+                                   [(*fields.values(), *energies.T)])
         results["scan"] = {"axis": cfg["scan"], "points": int(cfg["scan_points"])}
     if cfg["equivalence"]:
         deviations = {}
@@ -400,22 +394,20 @@ def _run_appendix(cfg: dict, rfs: list) -> dict:
             stride = max(1, len(res.times) // cfg["n_record"])
             dev = np.max(np.abs(res.mapped - res.transformed), axis=-1)
             columns = (res.times, *res.original.T, *res.transformed.T, dev)
-            rows = list(zip(*(c[::stride].tolist() for c in columns)))
             tables[f"trajectory_a{_fmt(a)}"] = (["t", "x", "p", "xbar", "pbar", "deviation"],
-                                                rows)
+                                                [tuple(c[::stride] for c in columns)])
             worst[_fmt(a)] = res.max_deviation
         results["max_deviation"] = worst
         checks["trajectory_equivalence"] = _check(max(worst.values()), cfg["tol"])
     else:
-        rows = []
+        blocks = []
         for a, rf in zip(cfg["a"], rfs):
             ts = np.linspace(0.0, rf.horizon, cfg["n_record"])
-            columns = (ts, *h1h2(rf, ts, cfg["mass"]), kappa(rf, ts, cfg["mass"]),
-                       *quantum_coeffs(rf, ts))
-            rows.extend([a, *row] for row in zip(*columns))
+            blocks.append((a, ts, *h1h2(rf, ts, cfg["mass"]), kappa(rf, ts, cfg["mass"]),
+                           *quantum_coeffs(rf, ts)))
         tables["coefficients"] = (["a", "t", "h1", "h2", "kappa", "alpha", "beta", "kappa_q"],
-                                  rows)
-        results["coefficients"] = {"rows": len(rows)}
+                                  blocks)
+        results["coefficients"] = {"rows": cfg["n_record"] * len(blocks)}
     return {"tables": tables, "results": results, "checks": checks}
 
 
@@ -423,18 +415,17 @@ def _run_rescale_info(cfg: dict, rfs: list) -> dict:
     """Rescaling samples and boundary report."""
     results: dict = {}
     checks: dict = {}
-    rows = []
+    blocks = []
     for a, rf in zip(cfg["a"], rfs):
         ts = np.linspace(0.0, rf.horizon, cfg["n_samples"])
-        columns = (ts, rf.f(ts), rf.df(ts), rf.d2f(ts), rf.d3f(ts))
-        rows.extend([a, *row] for row in zip(*columns))
+        blocks.append((a, ts, rf.f(ts), rf.df(ts), rf.d2f(ts), rf.d3f(ts)))
         results[_fmt(a)] = {
             "horizon": rf.horizon,
             "df_max": float(2.0 * a - 1.0),
             "residuals": rf.residuals,
         }
         checks[f"boundary_a={_fmt(a)}"] = _check(max(rf.residuals.values()), BOUNDARY_TOL)
-    return {"tables": {"rescaling": (["a", "t", "f", "df", "d2f", "d3f"], rows)},
+    return {"tables": {"rescaling": (["a", "t", "f", "df", "d2f", "d3f"], blocks)},
             "results": results, "checks": checks}
 
 
@@ -465,11 +456,12 @@ def main(argv=None) -> int:
                 warnings.catch_warnings():
             warnings.showwarning = _print_warning
             outcome = _RUNNERS[args.subcommand](cfg, rfs)
-        files = {f"{name}.{cfg['format']}": _table_text(header, rows, cfg["format"])
-                 for name, (header, rows) in outcome["tables"].items()}
+        files = {f"{name}.{cfg['format']}": _table_text(header, blocks, cfg["format"])
+                 for name, (header, blocks) in outcome["tables"].items()}
         failed = sorted(name for name, c in outcome["checks"].items() if not c["passed"])
-        files["summary.json"] = _summary_text(args.subcommand, cfg, outcome["results"],
-                                              outcome["checks"], passed=not failed)
+        files["summary.json"] = _json_text({
+            "schema": SCHEMA_VERSION, "subcommand": args.subcommand, "config": cfg,
+            "results": outcome["results"], "checks": outcome["checks"], "passed": not failed})
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

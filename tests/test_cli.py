@@ -298,16 +298,20 @@ def test_non_finite_result_exit(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("argv", [
-    ["rescale-info", "--a", "3", "--a", "1e15", "--tau", "1e-290"],
-    ["rescale-info", "--a", "1e15", "--tau", "1e-290"],
-])
-def test_non_finite_table_not_published(tmp_path, argv, fmt):
+@pytest.mark.parametrize("argv,value", [
+    # d3f of the first row overflows already at a = 3
+    (["rescale-info", "--a", "3", "--a", "1e15", "--tau", "1e-290"], "inf"),
+    # d2f = inf * 0 comes before it at a = 1e15
+    (["rescale-info", "--a", "1e15", "--tau", "1e-290"], "nan"),
+], ids=["argv0", "argv1"])
+def test_non_finite_table_not_published(tmp_path, capsys, argv, value, fmt):
     # a table with NaN or Infinity fails the run and leaves nothing behind,
-    # not even the finite rows of an earlier a
+    # not even the finite rows of an earlier a; both formats name the first
+    # bad value in row order, with the same line
     out = tmp_path / "run"
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 3
     assert not out.exists()
+    assert capsys.readouterr().err == f"check failed: non-finite table value {value}\n"
 
 
 @pytest.mark.parametrize("argv,code,err", [
@@ -650,6 +654,19 @@ def test_flag_prefix_is_not_matched(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and flag in err
     assert not (tmp_path / "run").exists()
+
+
+def test_sample_bound_applies_to_resolved_steps(tmp_path):
+    # a file's steps under a --steps flag never runs, so only the flag's value
+    # meets the n_times <= steps + 1 bound
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 10}))
+    out = tmp_path / "run"
+    argv = ["iontrap", "--grid-points", "9", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert main([*argv, "--steps", "256"]) == 0
+    assert json.loads(read(out / "summary.json"))["config"]["steps"] == 256
 
 
 def test_rescale_info_has_no_steps(tmp_path):

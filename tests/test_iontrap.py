@@ -200,6 +200,29 @@ def test_norm_guard_catches_nan(monkeypatch):
         fidelity_curves(model, rf, WavepacketGrid.gaussian(n_points=17), n_times=3, n_steps=50)
 
 
+@pytest.mark.parametrize("eps,fails", [(1e-9, True), (1e-12, False)])
+def test_norm_guard_bound_sits_between_1e_12_and_1e_9(monkeypatch, eps, fails):
+    # spinors scaled by 1 + eps drift off unit norm by eps: 1e-9 is refused
+    # and 1e-12 passes, so the 1e-10 bound is pinned between them
+    import dirac_rescale.iontrap as iontrap
+
+    evolve_states = iontrap.evolve_states
+
+    def scaled_states(*args):
+        times, psis = evolve_states(*args)
+        return times, psis * (1.0 + eps)
+
+    monkeypatch.setattr(iontrap, "evolve_states", scaled_states)
+    model = IonTrapModel(tau=1.0)
+    rf = RescalingFunction(a=2.0, tau=1.0)
+    grid = WavepacketGrid.gaussian(n_points=9)
+    if fails:
+        with pytest.raises(RuntimeError, match="per-mode norm drifted beyond 1e-10"):
+            fidelity_curves(model, rf, grid, n_times=3, n_steps=16)
+    else:
+        fidelity_curves(model, rf, grid, n_times=3, n_steps=16)
+
+
 def test_tau_mismatch_rejected():
     model = IonTrapModel(tau=1.0)
     rf = RescalingFunction(a=2.0, tau=2.0)

@@ -491,6 +491,27 @@ def test_unitarity_error_reports_first_failing_sample_not_largest(monkeypatch):
     assert got.value.defect == want.value.defect == defects[first]
 
 
+@pytest.mark.parametrize("delta,defect", [(5e-8, 1.0e-7), (1e-9, None)])
+def test_unitarity_bound_sits_between_2e_9_and_1e_7(monkeypatch, delta, defect):
+    # every quaternion scaled by 1 + delta is off unit norm by about 2 delta:
+    # a defect of 1e-7 is refused and one of 2e-9 passes, so the bound is pinned
+    cf4_records = propagator._cf4_records
+
+    def scaled(h, t0, dt, lo, hi):
+        records = cf4_records(h, t0, dt, lo, hi)
+        records[:4] *= 1.0 + delta
+        return records
+
+    monkeypatch.setattr(propagator, "_cf4_records", scaled)
+    h = PauliHamiltonian.constant(dx=1.0, dz=0.5)
+    if defect is None:
+        assert unitarity_defect(propagate(h, 0.0, 1.0, 1)) < propagator._UNITARITY_TOL
+    else:
+        with pytest.raises(UnitarityError) as got:
+            propagate(h, 0.0, 1.0, 1)
+        assert got.value.defect == pytest.approx(defect, rel=1e-6)
+
+
 @pytest.mark.parametrize("n_steps,samples,p,block,max_builds", [
     # the iontrap packet: 256 steps, 33 samples, 129 modes (32 segments)
     (256, [round(j * 256 / 32) for j in range(33)], np.linspace(-0.5, 0.5, 129), None, 12),
