@@ -17,7 +17,8 @@ together, row by row independent.  The appendix check evaluates the
 rescaling and every coefficient once on that grid, as vectorised calls, and
 steps the original and transformed flows side by side on four Python floats
 (x, p, xbar, pbar), bit for bit the arithmetic of :func:`evolve_classical` on
-the stacked pair, with dV called on one float at a time.
+the stacked pair.  Its four RK4 stages are written out in the loop body, so a
+step calls nothing but dV, on one float at a time.
 """
 
 from __future__ import annotations
@@ -218,24 +219,47 @@ def appendix_equivalence_check(model: ClassicalModel, rf: RescalingFunction,
     B0, B1 = memoryview(1.0 / g), memoryview(root / g)
     K0, K1 = 0.0, memoryview(2.0 * kappa(rf, ts, m))
 
-    def rhs(j, x0, p0, x1, p1):
-        return (P0[j] * p0, -(A0[j] * dV(B0[j] * x0) + K0 * x0),
-                P1 * p1, -(A1[j] * dV(B1[j] * x1) + K1[j] * x1))
-
     # RK4 on plain floats (x0, p0, x1, p1), stage for stage the arithmetic of
     # evolve_classical on the stacked (2, 2) state, so the bits are the same;
-    # on so small a state each numpy call costs more than the arithmetic it does
+    # on so small a state each numpy call costs more than the arithmetic it
+    # does.  The four stages a-d are written out, so that a step calls
+    # nothing but dV: stage a reads the six coefficients at index j, stages b
+    # and c share those at j + 1, and those of stage d at j + 2 serve the next
+    # step's stage a.  Each step is stored through a flat float view of traj,
+    # which costs less than a numpy row write.
     traj = np.empty((n_steps + 1, 4))
+    out = memoryview(traj).cast("B").cast("d")
     x0, p0 = y0.tolist()
     x1, p1 = canonical_map(y0, rf, 0.0, m).tolist()
     traj[0] = x0, p0, x1, p1
     h2, h6 = h / 2.0, h / 6.0
+    P0a, A0a, B0a, A1a, B1a, K1a = P0[0], A0[0], B0[0], A1[0], B1[0], K1[0]
     for k in range(n_steps):
         j = 2 * k
-        a0, a1, a2, a3 = rhs(j, x0, p0, x1, p1)
-        b0, b1, b2, b3 = rhs(j + 1, x0 + h2 * a0, p0 + h2 * a1, x1 + h2 * a2, p1 + h2 * a3)
-        c0, c1, c2, c3 = rhs(j + 1, x0 + h2 * b0, p0 + h2 * b1, x1 + h2 * b2, p1 + h2 * b3)
-        d0, d1, d2, d3 = rhs(j + 2, x0 + h * c0, p0 + h * c1, x1 + h * c2, p1 + h * c3)
+        jb, jd = j + 1, j + 2
+        P0b, A0b, B0b = P0[jb], A0[jb], B0[jb]
+        A1b, B1b, K1b = A1[jb], B1[jb], K1[jb]
+        P0d, A0d, B0d = P0[jd], A0[jd], B0[jd]
+        A1d, B1d, K1d = A1[jd], B1[jd], K1[jd]
+        a0 = P0a * p0
+        a1 = -(A0a * dV(B0a * x0) + K0 * x0)
+        a2 = P1 * p1
+        a3 = -(A1a * dV(B1a * x1) + K1a * x1)
+        u0, u1 = x0 + h2 * a0, x1 + h2 * a2
+        b0 = P0b * (p0 + h2 * a1)
+        b1 = -(A0b * dV(B0b * u0) + K0 * u0)
+        b2 = P1 * (p1 + h2 * a3)
+        b3 = -(A1b * dV(B1b * u1) + K1b * u1)
+        u0, u1 = x0 + h2 * b0, x1 + h2 * b2
+        c0 = P0b * (p0 + h2 * b1)
+        c1 = -(A0b * dV(B0b * u0) + K0 * u0)
+        c2 = P1 * (p1 + h2 * b3)
+        c3 = -(A1b * dV(B1b * u1) + K1b * u1)
+        u0, u1 = x0 + h * c0, x1 + h * c2
+        d0 = P0d * (p0 + h * c1)
+        d1 = -(A0d * dV(B0d * u0) + K0 * u0)
+        d2 = P1 * (p1 + h * c3)
+        d3 = -(A1d * dV(B1d * u1) + K1d * u1)
         x0 = x0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
         p0 = p0 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
         x1 = x1 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
@@ -243,7 +267,11 @@ def appendix_equivalence_check(model: ClassicalModel, rf: RescalingFunction,
         if not (abs(x0) <= _OVERFLOW_GUARD and abs(p0) <= _OVERFLOW_GUARD
                 and abs(x1) <= _OVERFLOW_GUARD and abs(p1) <= _OVERFLOW_GUARD):
             raise RuntimeError(f"trajectory diverged at t = {ts[j + 2]:g}")
-        traj[k + 1] = x0, p0, x1, p1
+        i = 4 * k + 4
+        out[i], out[i + 1] = x0, p0
+        out[i + 2], out[i + 3] = x1, p1
+        P0a, A0a, B0a = P0d, A0d, B0d
+        A1a, B1a, K1a = A1d, B1d, K1d
     times = ts[::2].copy()
     both = traj.reshape(n_steps + 1, 2, 2)
     orig, bar = both[:, 0], both[:, 1]

@@ -161,7 +161,9 @@ KEYS = {
     "scan": (["k", "phi_y", "phi_z"], "write a quasienergy scan along this axis"),
     "period_steps": (1, "steps per drive period in scans"),
     "n_times": (2, None), "grid_points": (3, None), "n_check": (2, None),
-    "scan_points": (2, None), "n_record": (1, None), "n_samples": (2, None),
+    "scan_points": (2, None), "n_samples": (2, None),
+    "n_record": (1, "table rows: classical mode writes every (steps+1)//n_record-th "
+                    "step from t = 0, coeffs mode exactly n_record rows per --a"),
     "fidelity_mode": (["incoherent", "coherent"], None),
     "mode": (["classical", "coeffs"], None),
     "potential": (["harmonic", "quartic"], None),

@@ -72,14 +72,18 @@ class RescalingFunction:
 
     def _check_domain(self, t):
         t = np.asarray(t, dtype=float)
-        slack = _DOMAIN_SLACK * self.horizon
-        below, above = t < -slack, t > self.horizon + slack
-        if np.any(below) or np.any(above):
-            worst = float(np.min(t[below]) if np.any(below) else np.max(t[above]))
-            raise ValueError(
-                f"time {worst!r} outside the rescaling domain [0, {self.horizon}]"
-            )
-        return np.clip(t, 0.0, self.horizon)
+        top = self.horizon
+        # fmin and fmax skip NaN, which passes through as np.clip leaves it
+        lo = np.fmin.reduce(t, axis=None, initial=np.inf)
+        hi = np.fmax.reduce(t, axis=None, initial=-np.inf)
+        if lo < 0.0 or hi > top:
+            slack = _DOMAIN_SLACK * top
+            if lo < -slack or hi > top + slack:
+                worst = float(lo if lo < -slack else hi)
+                raise ValueError(f"time {worst!r} outside the rescaling domain [0, {top}]")
+            return np.clip(t, 0.0, top)
+        # in [0, tau/a] already: np.clip would change nothing; a float gives np.float64
+        return t[()]
 
     def f(self, t):
         """Rescaled time f(t)."""
