@@ -119,7 +119,7 @@ def transformed_hamiltonian(rf: RescalingFunction, model: PauliHamiltonian) -> P
     """
 
     def terms(t):
-        z0, zx, zy, zz = model.coeffs(rf.f(t))
+        _, (z0, zx, zy, zz) = model._aligned_terms(rf.f(t))
         fd = _align_tail(rf.df(t), z0)
         # df*cos(2 phi) = 1 and df*sin(2 phi) = sqrt(df^2 - 1)
         sin2phi_scaled = np.sqrt(np.maximum(fd * fd - 1.0, 0.0))
@@ -166,9 +166,11 @@ def gauge_equivalence_check(
     h = model_for_momentum(p_arr)
     h_tilde = time_rescaled(h, rf)
     h_frak = transformed_hamiltonian(rf, h)
-    # coefficients (..., frame, mode): the substituted run first, the rotated frame second
+    # coefficients (..., frame, mode): the substituted run first, the rotated frame second;
+    # each pair is broadcast to one shape first, as the frames' terms keep their own
     h_both = PauliHamiltonian(lambda t: tuple(
-        np.stack(pair, axis=-2) for pair in zip(h_tilde.coeffs(t), h_frak.coeffs(t))))
+        np.stack(np.broadcast_arrays(*pair), axis=-2)
+        for pair in zip(h_tilde._aligned_terms(t)[1], h_frak._aligned_terms(t)[1])))
     times, us = propagate_sampled(h_both, 0.0, rf.horizon, n_steps, sample)
     mismatch = us[:, 0] - frame_unitary(rf, times)[:, None] @ us[:, 1]
     devs = np.linalg.norm(mismatch, ord=2, axis=(-2, -1)).T

@@ -30,13 +30,19 @@ evaluating f and df once per call.
 Inside the module a step is held as a real unit quaternion
 (cos x, sin x d/|d|), x = |d| dt, plus the scalar phase d0 dt.
 Steps are composed with the Hamilton product in plain real arithmetic (the
-phases add).  A propagation walks its window in pieces: each segment
-between two samples is cut every _BLOCK_STEPS steps from its start, as the
-walk reaches it, so the memory held before the first step does not grow
-with the step count.  A piece is reduced by a fixed-order pairwise tree
-that depends only on its length, and the piece products are chained in
-order, so a mode's result is bitwise the same alone or inside any batch.
-One records build serves a run of whole pieces of at most _BLOCK_STEPS
+phases add).  The coefficients are evaluated each at its own shape (a term
+constant in time or across modes, or zero, keeps size 1 on those axes;
+:meth:`PauliHamiltonian.coeffs` broadcasts them for callers outside), and
+the steps and products write their rows in place into preallocated
+records, which never share memory with their inputs; each entry has the
+bits it has when every term is broadcast up front.  A propagation walks
+its window in pieces: each segment between two samples is cut every
+_BLOCK_STEPS steps from its start, as the walk reaches it, so the memory
+held before the first step does not grow with the step count.  A piece
+is reduced by a fixed-order pairwise tree that depends only on its length,
+and the piece products are chained in order, so a mode's result is
+bitwise the same alone or inside any batch.
+One records build serves a run of whole pieces of at most 2 * _BLOCK_STEPS
 step-modes (one step of one batch element), or one longer piece alone,
 which bounds the temporaries; its pieces of one length are reduced in one
 call.  The unitarity check is |q|^2 - 1 of each sampled quaternion.
@@ -126,11 +132,23 @@ class PauliHamiltonian:
     def constant(cls, d0=0.0, dx=0.0, dy=0.0, dz=0.0) -> "PauliHamiltonian":
         return cls(lambda t: (d0, dx, dy, dz))
 
-    def coeffs(self, t):
-        """(d0, dx, dy, dz) at t as broadcast views of shape t.shape + batch."""
+    def _aligned_terms(self, t):
+        """shape = t.shape + batch and (d0, dx, dy, dz) at t, each at its own shape.
+
+        Each value gets leading unit axes up to len(shape), so it indexes like
+        a coefficient of that shape, but it is not broadcast: a term constant
+        in time or across modes keeps size 1 on those axes.
+        """
         t = np.asarray(t, dtype=float)
         vals = [np.asarray(v, dtype=float) for v in self.terms(t)]
-        return tuple(np.broadcast_arrays(_align_tail(t, max(vals, key=np.ndim)), *vals)[1:])
+        shape = np.broadcast_shapes(_align_tail(t, max(vals, key=np.ndim)).shape,
+                                    *(v.shape for v in vals))
+        return shape, tuple(v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in vals)
+
+    def coeffs(self, t):
+        """(d0, dx, dy, dz) at t as broadcast views of shape t.shape + batch."""
+        shape, vals = self._aligned_terms(t)
+        return tuple(np.broadcast_to(v, shape) for v in vals)
 
     def matrix(self, t):
         """Dense (..., 2, 2) Hamiltonian matrix at t."""
@@ -143,30 +161,39 @@ class PauliHamiltonian:
         return out
 
 
-def _su2_step(d0, dx, dy, dz, dt):
+def _su2_step(d0, dx, dy, dz, dt, out=None):
     """Records (cos x, sin(x) d/|d|, d0 dt) of steps, x = |d| dt.
 
     A record is a real array with the five components (w, vx, vy, vz, phase)
     on axis 0: the unit quaternion w - i v.sigma and the scalar phase of
     e^{-i phase} (w I - i v.sigma), so the step needs no complex arithmetic.
+    The coefficients may each have their own shape; the records take the
+    shape they broadcast to, written row by row into ``out`` (allocated if
+    None), whose vx, vy, vz rows hold |d|, x and sin(x)/|d| until they take
+    their own values.  ``out`` must not share memory with a coefficient.
     """
-    d0, dx, dy, dz = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (d0, dx, dy, dz))
-    )
-    out = np.empty((5,) + dx.shape)
+    d0, dx, dy, dz = (np.asarray(v, dtype=float) for v in (d0, dx, dy, dz))
+    if out is None:
+        out = np.empty((5,) + np.broadcast_shapes(d0.shape, dx.shape, dy.shape, dz.shape))
+    # out[i, ...] is a view also when the records are 0-d
+    w, vx, vy, vz, phase = (out[i, ...] for i in range(5))
     with np.errstate(invalid="ignore", over="ignore"):
-        nd = np.sqrt(dx * dx + dy * dy + dz * dz)
-        x = nd * dt
-        out[0] = np.cos(x)
-        sin_over_d = np.sin(x) / nd
-        small = np.abs(x) < _SMALL_ANGLE  # dt < 0 steps backwards
-        if np.any(small):
-            # sin(x)/|d| == dt sinc(x), which rounds to dt there; avoids 0/0 at |d| -> 0
-            sin_over_d = np.where(small, dt, sin_over_d)
-        np.multiply(sin_over_d, dx, out=out[1, ...])
-        np.multiply(sin_over_d, dy, out=out[2, ...])
-        np.multiply(sin_over_d, dz, out=out[3, ...])
-        out[4] = d0 * dt
+        np.multiply(dx, dx, out=vx)
+        np.multiply(dy, dy, out=vy)
+        np.add(vx, vy, out=vx)
+        np.multiply(dz, dz, out=vy)
+        np.add(vx, vy, out=vx)
+        nd = np.sqrt(vx, out=vx)
+        x = np.multiply(nd, dt, out=vy)
+        np.cos(x, out=w)
+        sin_over_d = np.divide(np.sin(x, out=vz), nd, out=vz)
+        # sin(x)/|d| == dt sinc(x), which rounds to dt at small |x| (dt < 0 steps
+        # backwards); avoids 0/0 at |d| -> 0
+        np.copyto(sin_over_d, dt, where=np.abs(x, out=vx) < _SMALL_ANGLE)
+        np.multiply(sin_over_d, dx, out=vx)
+        np.multiply(sin_over_d, dy, out=vy)
+        np.multiply(sin_over_d, dz, out=vz)
+        np.multiply(d0, dt, out=phase)
     return out
 
 
@@ -175,16 +202,30 @@ def _compose(a, b, out=None):
 
     w = wa wb - va.vb and v = wa vb + wb va + va x vb, in plain real
     arithmetic, so each entry is the same whatever the batch around it.
+    The rows are written into ``out`` (allocated if None), its w and phase
+    rows serving as scratch until they are written last; ``out`` must not
+    share memory with a or b.
     """
     aw, ax, ay, az, ap = a
     bw, bx, by, bz, bp = b
     if out is None:
         out = np.empty((5,) + np.broadcast_shapes(np.shape(aw), np.shape(bw)))
-    np.subtract(aw * bw, ax * bx + ay * by + az * bz, out=out[0, ...])
-    np.add(aw * bx + bw * ax, ay * bz - az * by, out=out[1, ...])
-    np.add(aw * by + bw * ay, az * bx - ax * bz, out=out[2, ...])
-    np.add(aw * bz + bw * az, ax * by - ay * bx, out=out[3, ...])
-    np.add(ap, bp, out=out[4, ...])
+    # out[i, ...] is a view also when the records are 0-d
+    w, x, y, z, phase = (out[i, ...] for i in range(5))
+    for row, (p, q, r, s, f, g, h, k) in (
+            (x, (aw, bx, bw, ax, ay, bz, az, by)),
+            (y, (aw, by, bw, ay, az, bx, ax, bz)),
+            (z, (aw, bz, bw, az, ax, by, ay, bx))):
+        # row = (p q + r s) + (f g - h k), w and phase as the two scratch rows
+        np.add(np.multiply(p, q, out=row), np.multiply(r, s, out=w), out=row)
+        np.subtract(np.multiply(f, g, out=w), np.multiply(h, k, out=phase), out=w)
+        np.add(row, w, out=row)
+    # w = wa wb - ((ax bx + ay by) + az bz), the dot product summed in w
+    np.multiply(ax, bx, out=w)
+    np.add(w, np.multiply(ay, by, out=phase), out=w)
+    np.add(w, np.multiply(az, bz, out=phase), out=w)
+    np.subtract(np.multiply(aw, bw, out=phase), w, out=w)
+    np.add(ap, bp, out=phase)
     return out
 
 
@@ -229,12 +270,17 @@ def _cf4_records(h, t0, dt, lo, hi):
     """Records (5, hi - lo, *batch) of CF4 steps lo .. hi - 1.
 
     One coefficient call on the (2, n) grid of both nodes; each step is the
-    exponential of a2 H1 + a1 H2 after that of a1 H1 + a2 H2.
+    exponential of a2 H1 + a1 H2 after that of a1 H1 + a2 H2.  The terms
+    and their node weights keep their own shapes (c[-1] is c[0] for a term
+    constant in time); the step records take the whole (n, *batch) shape,
+    so a constant H still gets its step axis.  The two step records are one
+    buffer, freed on return: only the product's five rows stay held.
     """
     ts = t0 + (np.arange(lo, hi, dtype=float) + _CF4_NODES) * dt
-    coeffs = h.coeffs(ts)
-    first = _su2_step(*(_CF4_A1 * c[0] + _CF4_A2 * c[1] for c in coeffs), dt)
-    second = _su2_step(*(_CF4_A2 * c[0] + _CF4_A1 * c[1] for c in coeffs), dt)
+    shape, terms = h._aligned_terms(ts)
+    first, second = np.empty((2, 5) + shape[1:])
+    _su2_step(*(_CF4_A1 * c[0] + _CF4_A2 * c[-1] for c in terms), dt, out=first)
+    _su2_step(*(_CF4_A2 * c[0] + _CF4_A1 * c[-1] for c in terms), dt, out=second)
     return _compose(second, first)
 
 
@@ -257,8 +303,8 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps):
     Each segment between two samples is cut into pieces every _BLOCK_STEPS
     steps from its start, as the walk reaches it, so the memory held before
     the first step does not grow with n_steps.  One records build covers a
-    run of whole pieces of at most _BLOCK_STEPS step-modes (one step of one
-    batch element), or one longer piece alone; within it the pieces of one
+    run of whole pieces of at most 2 * _BLOCK_STEPS step-modes (one step of
+    one batch element), or one longer piece alone; within it the pieces of one
     length share their pairwise tree, so they are reduced in one call.  The
     piece products are chained in order, so each record has the bits of its
     segments reduced one at a time.  Every record must be unit to
@@ -266,11 +312,11 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps):
     of the first sample that is not.
     """
     dt, idx = _checked_args(t0, t1, n_steps, sample_steps)
-    u = np.zeros((5,) + np.shape(h.coeffs(t0 + 0.5 * dt)[0]))
+    u = np.zeros((5,) + h._aligned_terms(t0 + 0.5 * dt)[0])
     u[0] = 1.0
     records = np.empty((5, len(idx)) + u.shape[1:])
     records[:, :bisect_right(idx, 0)] = u[:, None]
-    budget = _BLOCK_STEPS // max(u[0].size, 1)
+    budget = 2 * _BLOCK_STEPS // max(u[0].size, 1)
     ends = (min(lo + _BLOCK_STEPS, k) for prev, k in zip([0] + idx, idx)
             for lo in range(prev, k, _BLOCK_STEPS))
     # the pieces tile [0, idx[-1]], so each starts where the one before ended
@@ -297,6 +343,8 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps):
                 else:
                     group = steps[:, np.add.outer(starts[at], np.arange(n))]
                 products[:, at] = _ordered_product(group.swapaxes(1, 2))
+            # the next build need not find these records still held
+            del steps, group
             for end, product in zip(cuts[1:], products.swapaxes(0, 1)):
                 u = _compose(product, u)
                 records[:, bisect_left(idx, end):bisect_right(idx, end)] = u[:, None]
@@ -339,7 +387,7 @@ def time_rescaled(h: PauliHamiltonian, rf) -> PauliHamiltonian:
     """The substituted Hamiltonian df(s) * H(f(s)) on the contracted window."""
 
     def terms(s):
-        vals = h.coeffs(rf.f(s))
+        _, vals = h._aligned_terms(rf.f(s))
         fd = _align_tail(rf.df(s), vals[0])
         return tuple(fd * v for v in vals)
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
@@ -100,6 +100,71 @@ def test_backward_step_inverts_forward_step():
     back = su2_exponential(*d, -0.7)
     assert np.max(np.abs(back - expm(0.7j * h))) <= 1e-14
     assert np.max(np.abs(back @ su2_exponential(*d, 0.7) - IDENTITY2)) <= 1e-14
+
+
+#: ±0, subnormals, ±inf and NaN, drawn more often than st.floats() alone draws them
+_EDGE_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def _own_shape_terms(draw):
+    """(n, batch, terms): the four terms of a CF4 grid (2, n) + batch, each at
+    its own shape: constant, zero, time-only, mode-only or full."""
+    n = draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (3,)]))
+    shapes = {"constant": (), "time": (2, n) + (1,) * len(batch), "mode": batch,
+              "full": (2, n) + batch}
+    kinds = draw(st.lists(st.sampled_from(["zero", *shapes]), min_size=4, max_size=4))
+    # as in the models, some term carries the batch axis and some the time axes
+    assume(not batch or {"time", "full"} & set(kinds) and {"mode", "full"} & set(kinds))
+    terms = [np.float64(draw(st.sampled_from([0.0, -0.0]))) if kind == "zero"
+             else draw(hnp.arrays(float, shapes[kind], elements=_EDGE_FLOATS)) for kind in kinds]
+    return n, batch, terms
+
+
+def _assert_same_bytes(got, want):
+    # tobytes, not array_equal: -0.0 and +0.0 must not pass for each other.  A
+    # NaN counts as one value: numpy's loops pick the sign of a NaN result by
+    # their operand layout (contiguous, broadcast or 0-d), and IEEE 754 gives
+    # that sign no meaning
+    got, want = (np.where(np.isnan(x), np.nan, x) for x in (got, want))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _broadcast_records(records, shape):
+    """Records (5, *own) broadcast to (5, *shape); own aligns to the trailing axes."""
+    lead = (1,) * (len(shape) + 1 - records.ndim)
+    return np.broadcast_to(records.reshape(records.shape[:1] + lead + records.shape[1:]),
+                           (5,) + shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_own_shape_terms(), dt=st.one_of(_EDGE_FLOATS, st.floats(-2.0, 2.0)))
+# constant H: the records still get their step axis
+@example(case=(3, (), [np.float64(v) for v in (0.3, 1.0, -0.5, 2.0)]), dt=0.25)
+# the iontrap model: zero d0 and dy, mode-only dx, time-only dz; dt < 0 steps backwards
+@example(case=(2, (3,), [np.float64(0.0), np.array([0.1, -0.0, 0.7]), np.float64(-0.0),
+                         np.array([[[1.0], [5e-324]], [[-0.0], [np.inf]]])]), dt=-0.5)
+def test_own_shape_terms_give_broadcast_bits(case, dt):
+    # evaluating each term at its own shape writes the bits of the same records
+    # built from terms broadcast up front, sign of zero included
+    n, batch, terms = case
+    full = (2, n) + batch
+    wide = [np.broadcast_to(v, full).copy() for v in terms]
+    with np.errstate(all="ignore"):
+        _assert_same_bytes(
+            propagator._cf4_records(PauliHamiltonian(lambda t: terms), 0.0, dt, 0, n),
+            propagator._cf4_records(PauliHamiltonian(lambda t: wide), 0.0, dt, 0, n))
+        own_steps = propagator._su2_step(*terms, dt)
+        wide_steps = propagator._su2_step(*wide, dt)
+        _assert_same_bytes(_broadcast_records(own_steps, full), wide_steps)
+        own_u = su2_exponential(*terms, dt)
+        _assert_same_bytes(np.broadcast_to(own_u, full[:len(full) + 2 - own_u.ndim] + own_u.shape),
+                           su2_exponential(*wide, dt))
+        back = propagator._su2_step(*terms[::-1], -dt)
+        _assert_same_bytes(_broadcast_records(propagator._compose(own_steps, back), full),
+                           propagator._compose(wide_steps, _broadcast_records(back, full).copy()))
 
 
 def test_propagate_constant_hamiltonian():
@@ -513,12 +578,13 @@ def test_unitarity_bound_sits_between_2e_9_and_1e_7(monkeypatch, delta, defect):
 
 
 @pytest.mark.parametrize("n_steps,samples,p,block,max_builds", [
-    # the iontrap packet: 256 steps, 33 samples, 129 modes (32 segments)
-    (256, [round(j * 256 / 32) for j in range(33)], np.linspace(-0.5, 0.5, 129), None, 12),
+    # the iontrap packet: 256 steps, 33 samples, 129 modes (32 segments of 8
+    # steps); a budget of 2 * 4096 // 129 = 63 steps takes 7 segments a build
+    (256, [round(j * 256 / 32) for j in range(33)], np.linspace(-0.5, 0.5, 129), None, 5),
     # uneven pieces: three builds of 9 pieces at one mode, eight at three modes,
-    # where the 3-step piece is longer than the budget of 8 // 3 steps
-    (17, [0, 1, 2, 3, 5, 8, 9, 12, 16, 17], 0.2, 8, 3),
-    (17, [0, 1, 2, 3, 5, 8, 9, 12, 16, 17], np.array([0.1, 0.5, -0.3]), 8, 8),
+    # where the 3-step piece is longer than the budget of 2 * 4 // 3 steps
+    (17, [0, 1, 2, 3, 5, 8, 9, 12, 16, 17], 0.2, 4, 3),
+    (17, [0, 1, 2, 3, 5, 8, 9, 12, 16, 17], np.array([0.1, 0.5, -0.3]), 4, 8),
     # one segment longer than a block: each block-long piece is built alone
     (40, [0, 0, 40], np.array([0.1, 0.5]), 8, 5),
 ])
@@ -541,7 +607,7 @@ def test_records_builds_cover_whole_pieces_within_budget(monkeypatch, n_steps, s
     pieces = [(lo, min(lo + block, k)) for prev, k in zip([0] + samples, samples)
               for lo in range(prev, k, block)]
     cuts = {0} | {hi for _, hi in pieces}
-    limit = max(max(hi - lo for lo, hi in pieces), block // np.size(p))
+    limit = max(max(hi - lo for lo, hi in pieces), 2 * block // np.size(p))
     assert [lo for lo, _ in builds] + [samples[-1]] == [0] + [hi for _, hi in builds]
     assert all(lo in cuts and hi in cuts and hi - lo <= limit for lo, hi in builds)
     assert len(builds) <= max_builds
