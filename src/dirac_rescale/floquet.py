@@ -5,10 +5,15 @@ The driven mode
     H_k(t) = 2J cos(k) sx + 2 lambda sin(k) cos(phi_y) sy
              + [V1 + V2 cos(Omega t)] cos(phi_z) sz
 
-is T-periodic with T = 2 pi / Omega.  Slow cyclic variation of the
-quasimomenta (phi_y, phi_z) over a pumping period T0 >> T transports the
-mode around a band feature; contracting that loop with a rescaling function
-reproduces the same one-cycle Floquet operator on a window T0/a.
+is T-periodic with T = 2 pi / Omega.  Its coefficients are written once, in
+``_mode_terms``; each builder only chooses its quasimomenta: fixed ones
+(``build_single_mode_h``, or one mode per value in
+``scan_quasienergies``), the pumping loop's (``build_pumping_h``), or
+fixed ones in the frame rotating with the drive
+(``build_rotating_frame_h``).  Slow cyclic variation of the quasimomenta
+(phi_y, phi_z) over a pumping period T0 >> T transports the mode around a
+band feature; contracting that loop with a rescaling function reproduces
+the same one-cycle Floquet operator on a window T0/a.
 
 Energies and times are in units with hbar = 1, so a quasienergy is
 -angle(eigenvalue)/T.  :func:`rescaled_floquet_equivalence` returns the
@@ -121,19 +126,17 @@ def build_single_mode_h(params: WeylModelParams) -> PauliHamiltonian:
     return _frozen_mode_h(params, params.k, params.phi_y, params.phi_z)
 
 
+def _mode_terms(params: WeylModelParams, k, phi_y, phi_z, t):
+    """(d0, dx, dy, dz) of H_k(t) at the given quasimomenta, the one place they are written."""
+    return (0.0, 2.0 * params.J * np.cos(k), 2.0 * params.lam * np.sin(k) * np.cos(phi_y),
+            (params.V1 + params.V2 * np.cos(params.Omega * t)) * np.cos(phi_z))
+
+
 def _frozen_mode_h(params: WeylModelParams, k, phi_y, phi_z) -> PauliHamiltonian:
     """Mode Hamiltonian at quasimomenta that may be arrays of modes (one trailing axis)."""
-    J, lam, V1, V2, Om = params.J, params.lam, params.V1, params.V2, params.Omega
-    dx = 2.0 * J * np.cos(k)
-    dy = 2.0 * lam * np.sin(k) * np.cos(phi_y)
-    cz = np.cos(phi_z)
-    modes = np.ndim(dx) or np.ndim(dy) or np.ndim(cz)
-
-    def terms(t):
-        t = t[..., None] if modes else t
-        return 0.0, dx, dy, (V1 + V2 * np.cos(Om * t)) * cz
-
-    return PauliHamiltonian(terms)
+    modes = np.ndim(k) or np.ndim(phi_y) or np.ndim(phi_z)
+    return PauliHamiltonian(
+        lambda t: _mode_terms(params, k, phi_y, phi_z, t[..., None] if modes else t))
 
 
 def build_rotating_frame_h(params: WeylModelParams) -> PauliHamiltonian:
@@ -142,13 +145,13 @@ def build_rotating_frame_h(params: WeylModelParams) -> PauliHamiltonian:
     The sx row mixes cos(2 alpha) and sin(2 alpha); the sy row repeats it
     with the hopping term negated; the sz row keeps V1 cos(phi_z).
     """
-    J, lam, V1, V2, Om = params.J, params.lam, params.V1, params.V2, params.Omega
-    k, py, pz = params.k, params.phi_y, params.phi_z
+    V1, V2, Om, pz = params.V1, params.V2, params.Omega, params.phi_z
+    # dx and dy do not depend on t
+    _, dx, dy, _ = _mode_terms(params, params.k, params.phi_y, pz, 0.0)
 
     def terms(t):
         a2 = 2.0 * (V2 * np.cos(pz) * np.sin(Om * t) / Om)
-        hop = 2.0 * J * np.cos(k) * np.cos(a2)
-        kick = 2.0 * lam * np.sin(k) * np.cos(py) * np.sin(a2)
+        hop, kick = dx * np.cos(a2), dy * np.sin(a2)
         return 0.0, hop + kick, -hop + kick, V1 * np.cos(pz)
 
     return PauliHamiltonian(terms)
@@ -162,15 +165,7 @@ def pumping_path(params: WeylModelParams, t):
 
 def build_pumping_h(params: WeylModelParams) -> PauliHamiltonian:
     """Mode Hamiltonian with the quasimomenta driven around the pumping loop."""
-    J, lam, V1, V2, Om = params.J, params.lam, params.V1, params.V2, params.Omega
-    k = params.k
-    dx = 2.0 * J * np.cos(k)
-
-    def terms(t):
-        py, pz = pumping_path(params, t)
-        return 0.0, dx, 2.0 * lam * np.sin(k) * np.cos(py), (V1 + V2 * np.cos(Om * t)) * np.cos(pz)
-
-    return PauliHamiltonian(terms)
+    return PauliHamiltonian(lambda t: _mode_terms(params, params.k, *pumping_path(params, t), t))
 
 
 def floquet_operator(h: PauliHamiltonian, period: float, n_steps: int):

@@ -98,13 +98,13 @@ def instantaneous_eigenstate(model: IonTrapModel, p, t, branch: int = +1):
 
     branch +1 follows the upper (+|d|) eigenvalue from theta0 = atan2(p, 1);
     branch -1 is the orthogonal lower state.  The gap stays nonnegative for
-    the whole ramp, so atan2 itself tracks theta continuously.
+    the whole ramp, so atan2 itself tracks theta continuously.  dx and dz
+    are read from :func:`build_demo_hamiltonian`'s coefficients, so an
+    array t with an array p gives the (time, mode) grid.
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    p_arr = np.asarray(p, dtype=float)
-    dx = p_arr - model.vector_potential(t)
-    dz = model.gap(t) + np.zeros_like(p_arr)
+    _, dx, _, dz = build_demo_hamiltonian(model, p).coeffs(t)
     if np.any((np.abs(dx) < DEGENERACY_EPS) & (np.abs(dz) < DEGENERACY_EPS)):
         warnings.warn(
             "mode sits on the gap-closure point (p = 1, t = tau); "

@@ -6,9 +6,13 @@ on the Pauli basis,
     H(t) = d0(t)*I + dx(t)*sx + dy(t)*sy + dz(t)*sz ,
 
 all from a single evaluation at t (a float array of any shape).  Each
-returned value may be a scalar or an array that broadcasts to
-t.shape + batch: momentum-mode axes trail the time axes, so a per-mode
-value carries t's axes first (e.g. built from ``t[..., None]``).  Units
+returned value is a scalar or an array for t.shape + batch, momentum-mode
+axes trailing the time axes, aligned at the right against the value with
+the most axes.  A per-mode value may leave out t's axes: when every value
+has fewer axes than t, all are per mode.  A value with exactly as many
+axes as t, none having more, is read as per time, so a per-mode (m,) value
+at a 1-D t, or (m1, m2) at a propagation's (2, n) t, needs another value
+that carries t's axes (e.g. built from ``t[..., None]``).  Units
 have hbar = 1 throughout the library; laboratory knobs, hbar among them,
 enter only through :func:`~dirac_rescale.iontrap.physical_units_map`.  One
 step of length dt is the closed-form exponential
@@ -121,9 +125,11 @@ class PauliHamiltonian:
     """H(t) = d0*I + dx*sx + dy*sy + dz*sz from one coefficient callable.
 
     ``terms(t)`` receives a float array t and returns (d0, dx, dy, dz), each
-    a scalar or an array broadcasting to t.shape + batch, with any batch
-    (momentum-mode) axes after the time axes.  :meth:`coeffs` broadcasts
-    the four values against each other and against t.
+    a scalar or an array for t.shape + batch, with any batch (momentum-mode)
+    axes after the time axes, aligned at the right; if all have fewer axes
+    than t, all are per mode (the module docstring has the one ambiguous
+    case).  :meth:`coeffs` broadcasts the four values against each other
+    and against t.
     """
 
     terms: Callable
@@ -141,6 +147,9 @@ class PauliHamiltonian:
         """
         t = np.asarray(t, dtype=float)
         vals = [np.asarray(v, dtype=float) for v in self.terms(t)]
+        if max(v.ndim for v in vals) < t.ndim:
+            # no term carries t's axes, so each is per mode: t's axes go in front
+            vals = [v.reshape((1,) * t.ndim + v.shape) for v in vals]
         shape = np.broadcast_shapes(_align_tail(t, max(vals, key=np.ndim)).shape,
                                     *(v.shape for v in vals))
         return shape, tuple(v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in vals)

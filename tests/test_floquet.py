@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import j0
 
+from dirac_rescale import floquet
 from dirac_rescale.floquet import (
     WeylModelParams,
     build_pumping_h,
@@ -98,6 +99,18 @@ def test_pumping_path_loop():
     end = pumping_path(p, p.T0)
     assert start[0] == pytest.approx(end[0], abs=1e-13)
     assert start[1] == pytest.approx(end[1], abs=1e-13)
+
+
+@pytest.mark.parametrize("p", [params(), params(J=0.7, lam=-0.3, V2=1.1, k=0.4, phi_y0=0.8,
+                                               phi_z0=0.5, r=0.25)], ids=["default", "generic"])
+def test_pumping_h_is_frozen_mode_h_on_the_loop(p):
+    # the pumped mode is the frozen mode at the loop's quasimomenta, to the byte
+    # (the angles go in unwrapped, as pumping_path gives them)
+    for t in (0.0, 0.37, 12.5, 37.5, 49.99, 50.0, 137.25):
+        got = build_pumping_h(p).coeffs(t)
+        want = floquet._frozen_mode_h(p, p.k, *pumping_path(p, t)).coeffs(t)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == () and g.tobytes() == w.tobytes()
 
 
 def test_floquet_operator_constant_h():

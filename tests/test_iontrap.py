@@ -95,6 +95,20 @@ def test_eigenstate_branches_orthonormal():
     assert np.linalg.norm(up) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_eigenstate_grid_over_time_and_modes():
+    # the ramp's coefficients come from its builder, so array t and array p
+    # give the (time, mode) grid of its coeffs; each entry is the pair's own state
+    model = IonTrapModel(tau=1.0)
+    p, t = np.array([-0.4, 0.2, 0.7]), np.array([0.0, 0.35, 1.0])
+    for branch in (+1, -1):
+        grid = instantaneous_eigenstate(model, p, t, branch)
+        assert grid.shape == (3, 3, 2)
+        for i, ti in enumerate(t):
+            for j, pj in enumerate(p):
+                one = instantaneous_eigenstate(model, pj, ti, branch)
+                assert grid[i, j].tobytes() == one.tobytes()
+
+
 def test_eigenstate_degeneracy_warning():
     model = IonTrapModel(tau=1.0)
     with pytest.warns(RuntimeWarning):

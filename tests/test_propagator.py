@@ -370,6 +370,69 @@ def test_batch_invariance_bitwise(p, pick, n_steps, fracs):
     assert np.array_equal(sb[:, m], sm)
 
 
+#: how a term varies: not at all, in time, across modes, or in both
+_TERM_KINDS = ("scalar", "time", "mode", "time_mode")
+
+
+def _kind_terms(kinds, amps, freqs, mode=None):
+    """Terms of the given kinds over a trailing batch of all modes (mode None),
+    or for mode ``mode`` alone, without a batch.  A term varying in time is
+    amp * cos(freq * t), built from ``t[..., None]`` in the batch."""
+
+    def terms(t):
+        tb = t[..., None] if mode is None else t
+        vals = []
+        for kind, amp, w in zip(kinds, amps, freqs):
+            a = amp[0] if kind in ("scalar", "time") else amp if mode is None else amp[mode]
+            vals.append(a * np.cos(w * tb) if kind in ("time", "time_mode") else a)
+        return tuple(vals)
+
+    return PauliHamiltonian(terms)
+
+
+def _per_time_terms(h):
+    """h with every term broadcast to t's shape: read per time, whatever its kind."""
+    return PauliHamiltonian(lambda t: tuple(np.broadcast_to(v, t.shape) for v in h.terms(t)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    batched=st.booleans(),
+    steps=st.one_of(st.none(), st.integers(1, 6)),
+    kinds=st.lists(st.sampled_from(_TERM_KINDS), min_size=4, max_size=4),
+    amps=hnp.arrays(float, (4, 4), elements=st.floats(-2.0, 2.0)),
+    freqs=hnp.arrays(float, 4, elements=st.floats(-3.0, 3.0)),
+)
+# the frozen Weyl mode's shapes: per-mode dx and dy without t's axes, dz on both
+@example(m=3, batched=True, steps=None, kinds=["scalar", "mode", "mode", "time_mode"],
+         amps=np.arange(16.0).reshape(4, 4) / 8.0, freqs=np.array([0.0, 0.0, 0.0, 2.0]))
+def test_term_kinds_match_loop_over_modes_bitwise(m, batched, steps, kinds, amps, freqs):
+    # each term may be scalar, per time, per mode, or per time and mode; the
+    # batch's result for each mode is the bits of that mode propagated alone,
+    # at n_steps = m too (steps None), where a misaligned batch axis still
+    # broadcasts against the step axis
+    n_steps = m if steps is None else steps
+    amps = amps[:, :m]
+    if batched and {"mode", "time_mode"} & set(kinds):
+        got, modes = propagate(_kind_terms(kinds, amps, freqs), 0.0, 1.0, n_steps), range(m)
+    else:
+        got, modes = propagate(_kind_terms(kinds, amps, freqs, 0), 0.0, 1.0, n_steps)[None], [0]
+    want = np.array([propagate(_per_time_terms(_kind_terms(kinds, amps, freqs, i)), 0.0, 1.0, n_steps)
+                     for i in modes])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [3, 4])
+def test_per_mode_constant_matches_one_mode_at_a_time(n_steps):
+    # no term carries t's axes, so the (3,) dx is per mode, not per step,
+    # also when the piece has as many steps as there are modes
+    dx = np.array([0.1, 0.2, 0.3])
+    got = propagate(PauliHamiltonian.constant(dx=dx), 0.0, 1.0, n_steps)
+    want = np.array([propagate(PauliHamiltonian.constant(dx=v), 0.0, 1.0, n_steps) for v in dx])
+    assert got.shape == (3, 2, 2) and got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(a=st.floats(1.0, 16.0), p=st.floats(-0.5, 0.5))
 @example(a=1.0, p=0.0)
