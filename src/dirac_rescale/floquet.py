@@ -113,10 +113,10 @@ class WeylModelParams:
     @property
     def phi_l(self) -> float:
         """Touching-point quasimomentum arccos(ell*pi / V1)."""
-        x = self.ell * math.pi / self.V1
-        if abs(x) > 1.0:
+        x = self.ell * math.pi / self.V1 if self.V1 else math.inf
+        if not abs(x) <= 1.0:
             raise ValueError(
-                f"|ell*pi/V1| = {abs(x):.3f} > 1; no band-touching angle exists"
+                f"|ell*pi/V1| = {abs(x):.3f} is not at most 1; no band-touching angle exists"
             )
         return math.acos(x)
 
@@ -222,16 +222,21 @@ def perturbative_floquet(params: WeylModelParams):
 
     with k_x = k - pi/2, k_y = phi_y - pi/2 and c = V2/V1.  The Bessel order
     is 0, which is what the drive-period average of the linearized
-    coefficients produces; the prefactor T0 is fixed once by matching
-    the first-order term of the numeric operator (see
+    coefficients produces, and J_0(z) is taken as that average: the mean of
+    cos(z sin(theta)) over N = 32 + 2 ceil(|z|) equally spaced drive phases,
+    which the trapezoid rule gives to rounding for this periodic integrand.
+    A non-finite z or |z| > 1e3 is refused.  The prefactor T0 is fixed once
+    by matching the first-order term of the numeric operator (see
     :func:`calibrate_perturbative_prefactor`).
     """
-    from scipy.special import jv  # here, not at module level: keeps scipy off the CLI's import path
-
     params.phi_l  # raises if the touching angle does not exist
+    z = params.ell * params.c_ratio
+    if not abs(z) <= 1e3:
+        raise ValueError(f"|ell*V2/V1| = {abs(z):g} is not at most 1e3")
+    theta = np.linspace(0.0, 2.0 * math.pi, 32 + 2 * math.ceil(abs(z)), endpoint=False)
+    amp = np.mean(np.cos(z * np.sin(theta))) * params.T0
     kx = params.k - math.pi / 2.0
     ky = params.phi_y - math.pi / 2.0
-    amp = jv(0, params.ell * params.c_ratio) * params.T0
     return IDENTITY2 + 1j * amp * (2.0 * params.J * kx * PAULI_X + 2.0 * params.lam * ky * PAULI_Y)
 
 
@@ -240,18 +245,15 @@ def calibrate_perturbative_prefactor(params: WeylModelParams) -> float:
 
     Shrinks the hopping amplitudes by 1e-3 so the first-order term
     dominates, evolves the touching-point Hamiltonian over one pumping
-    period in 20000 steps and reads the sx component of (U - I)/i.
+    period in 20000 steps and returns T0 times the ratio of the sx
+    components of (U - I)/i in that operator and in
+    :func:`perturbative_floquet`.
     """
-    from scipy.special import jv
-
     small = replace(params, J=params.J * 1e-3, lam=params.lam * 1e-3)
     h = linearized_h_near_touching(small, include_offset=False, freeze_kz=True)
-    u = propagate(h, 0.0, small.T0, 20000)
-    kx = small.k - math.pi / 2.0
-    first_order = (u - IDENTITY2) / 1j
-    sx_part = 0.5 * np.real(np.trace(PAULI_X @ first_order))
-    j0 = jv(0, small.ell * small.c_ratio)
-    return float(sx_part / (2.0 * small.J * kx * j0))
+    sx_num, sx_pert = (0.5 * np.real(np.trace(PAULI_X @ ((u - IDENTITY2) / 1j)))
+                       for u in (propagate(h, 0.0, small.T0, 20000), perturbative_floquet(small)))
+    return float(small.T0 * sx_num / sx_pert)
 
 
 def linearized_h_near_touching(params: WeylModelParams,

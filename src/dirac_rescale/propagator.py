@@ -17,7 +17,7 @@ have hbar = 1 throughout the library; laboratory knobs, hbar among them,
 enter only through :func:`~dirac_rescale.iontrap.physical_units_map`.  One
 step of length dt is the closed-form exponential
 
-    exp(-i H dt) = e^{-i d0 dt} [cos(|d| dt) I - i sin(|d| dt) (d/|d|).sigma] ,
+    exp(-i H dt) = e^{-i d0 dt} [cos(|d| dt) I - i sin(|d| dt) (d/|d|).sigma] .
 
 Every propagator steps with the commutator-free fourth-order Magnus step
 (CF4; Blanes & Moan 2006, Alvermann & Fehske 2011), which composes two

@@ -52,6 +52,18 @@ def test_canonical_map_identity_at_a1():
     np.testing.assert_allclose(canonical_map(state, rf, 0.4), state, atol=1e-15)
 
 
+def test_canonical_map_refuses_unknown_direction():
+    with pytest.raises(ValueError, match="direction must be 'forward' or 'inverse', got 'x'"):
+        canonical_map(np.array([0.7, -1.2]), RescalingFunction(a=2.0, tau=1.0), 0.4,
+                      direction="x")
+
+
+@pytest.mark.parametrize("m", [0.0, -1.0])
+def test_harmonic_model_refuses_non_positive_mass(m):
+    with pytest.raises(ValueError, match="mass must be positive"):
+        harmonic_model(m=m)
+
+
 def test_canonical_map_origin_column():
     rf = RescalingFunction(a=2.0, tau=1.0)
     t = 0.17

@@ -60,6 +60,45 @@ def test_config_file_unknown_key(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content,err", [
+    (None, "error: cannot read config file: "),
+    ("{'a': [2.0]}", "error: config file is not valid JSON: "),
+    ("[2.0]", "error: config file must hold a JSON object"),
+], ids=["missing", "not_json", "array"])
+def test_config_file_unusable(tmp_path, capsys, content, err):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "run"
+    assert main(["rescale-info", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(err)
+
+
+def test_config_file_null_scan_takes_the_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scan": None}))
+    out = tmp_path / "run"
+    assert main(["floquet", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(read(out / "summary.json"))["config"]["scan"] == "phi_z"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_result_not_published(tmp_path, capsys, monkeypatch, value):
+    # a value outside every table still fails the run: summary.json never holds NaN
+    def runner(cfg, rfs):
+        return {"tables": {"rescaling": (["a"], [(1.0,)])}, "results": {"bad": value},
+                "checks": {}}
+
+    monkeypatch.setitem(cli._RUNNERS, "rescale-info", runner)
+    out = tmp_path / "run"
+    assert main(["rescale-info", "--out", str(out)]) == 3
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("check failed: non-finite result (")
+
+
 def test_iontrap_writes_long_format(tmp_path):
     out = tmp_path / "run"
     code = main([

@@ -1,13 +1,16 @@
-"""Cold start: the CLI runs without importing scipy, and a fresh process
-writes the same bytes as a run inside this (scipy-loaded) test process.
+"""Cold start: the package imports only numpy at run time, the CLI and the
+perturbative pair run without scipy, and a fresh process writes the same
+bytes as a run inside this (scipy-loaded) test process.
 
 The fresh interpreters are started once per module and shared by the tests.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +48,7 @@ print(json.dumps({
     "codes": codes,
     "scipy_after_cli": scipy_after_cli,
     "perturbative": [[z.real.hex(), z.imag.hex()] for z in u.ravel().tolist()],
-    "scipy_after_calls": sorted(m for m in ("scipy.optimize", "scipy.special") if m in sys.modules),
+    "scipy_after_calls": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
 }))
 """
 
@@ -82,13 +85,26 @@ def test_cli_cold_path_loads_no_scipy(fresh):
     assert report["scipy_after_cli"] == []
 
 
-def test_scipy_users_load_it_on_first_call(fresh):
+def test_perturbative_floquet_loads_no_scipy(fresh):
     _, report = fresh
-    # perturbative_floquet needs scipy.special only; nothing uses scipy.optimize
-    assert report["scipy_after_calls"] == ["scipy.special"]
+    # J_0 is the drive-period mean perturbative_floquet computes with numpy
+    assert report["scipy_after_calls"] == []
     u = np.array([complex(float.fromhex(re), float.fromhex(im))
                   for re, im in report["perturbative"]]).reshape(2, 2)
     assert np.array_equal(u, perturbative_floquet(WeylModelParams()))
+
+
+def test_src_imports_only_numpy_stdlib_and_itself():
+    # every import counts, also one inside a function body
+    allowed = set(sys.stdlib_module_names) | {"numpy", "dirac_rescale"}
+    found = set()
+    for path in sorted(Path(dirac_rescale.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert found and sorted(f for f in found if f[1] not in allowed) == []
 
 
 def test_fresh_process_matches_in_process(fresh, tmp_path, monkeypatch):

@@ -26,7 +26,7 @@ from dirac_rescale.floquet import (
     rescaled_floquet_equivalence,
     scan_quasienergies,
 )
-from dirac_rescale.propagator import IDENTITY2, PauliHamiltonian, propagate
+from dirac_rescale.propagator import IDENTITY2, PAULI_X, PauliHamiltonian, propagate
 from dirac_rescale.rescaling import RescalingFunction
 
 
@@ -202,6 +202,52 @@ def test_perturbative_identity_cases():
 def test_perturbative_requires_touching_angle():
     with pytest.raises(ValueError):
         perturbative_floquet(params(V1=1.0))
+
+
+@pytest.mark.parametrize("V1", [0.0, math.nan, 1.0])
+def test_no_touching_angle_raises_value_error(V1):
+    # a zero or NaN V1 is refused as no angle, not as ZeroDivisionError or a NaN angle
+    p = params(V1=V1)
+    with pytest.raises(ValueError, match="no band-touching angle"):
+        p.phi_l
+    with pytest.raises(ValueError, match="no band-touching angle"):
+        perturbative_floquet(p)
+    with pytest.raises(ValueError, match="no band-touching angle"):
+        linearized_h_near_touching(p)
+
+
+def _bessel_factor(z):
+    """J_0(ell c) as perturbative_floquet computes it, and ell c itself."""
+    def sx_part(p):
+        return 0.5 * np.real(np.trace(PAULI_X @ ((perturbative_floquet(p) - IDENTITY2) / 1j)))
+    p = params(V2=z * 2 * math.pi, k=math.pi / 2 + 0.01)
+    # at c = 0 every drive phase gives cos(0) = 1, so the ratio is J_0 alone
+    return sx_part(p) / sx_part(replace(p, V2=0.0)), p.ell * p.c_ratio
+
+
+def test_bessel_factor_matches_scipy_j0():
+    # the trapezoid mean needs more phases as |z| grows; a fixed 64 fails past ~35
+    zs = np.concatenate([[0.0, 0.2, 0.5, -0.5, 2.404825557695773, 35.0, 40.0, 60.0, 1e3, -1e3],
+                         np.linspace(-999.63, 999.63, 1001)])
+    worst = 0.0
+    for z in zs:
+        value, zc = _bessel_factor(z)
+        worst = max(worst, abs(value - j0(zc)))
+    assert worst < 1e-14
+    assert _bessel_factor(0.0)[0] == 1.0
+
+
+@pytest.mark.parametrize("V2", [1e3 * 2 * math.pi * 1.001, -3e5, math.nan, math.inf])
+def test_bessel_factor_refuses_large_or_non_finite_argument(V2):
+    with pytest.raises(ValueError, match=r"ell\*V2/V1"):
+        perturbative_floquet(params(V2=V2))
+
+
+@pytest.mark.parametrize("field", ["Omega", "T0"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_weyl_params_refuse_non_positive_periods(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        params(**{field: value})
 
 
 def test_drive_average_is_bessel_j0():

@@ -59,6 +59,22 @@ def test_physical_units_map():
     assert rest == pytest.approx(1.5 * np.exp(t))
 
 
+@pytest.mark.parametrize("make,match", [
+    pytest.param(lambda: IonTrapModel(tau=0.0), "tau must be positive", id="tau_zero"),
+    pytest.param(lambda: PhysicalTrapParams(eta=0.0, Delta=0.5, gamma=np.cos, omega=np.exp),
+                 "eta must be positive", id="eta_zero"),
+    pytest.param(lambda: PhysicalTrapParams(eta=0.1, Delta=-0.5, gamma=np.cos, omega=np.exp),
+                 "Delta must be positive", id="Delta_negative"),
+    pytest.param(lambda: instantaneous_eigenstate(IonTrapModel(), 0.3, 0.0, branch=0),
+                 "branch must be", id="branch_zero"),
+    pytest.param(lambda: WavepacketGrid.gaussian(n_points=2), "at least 3", id="two_points"),
+])
+def test_library_refuses_bad_input(make, match):
+    # the CLI's KEYS bounds stop these first, so only a library caller reaches them
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_eigenstate_initial_point():
     model = IonTrapModel(tau=1.0)
     np.testing.assert_allclose(
