@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -221,7 +222,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     for key, default in defaults.items():
         if getattr(args, key) is not None:
             cfg[key] = _checked(key, getattr(args, key), default)
-    _validate(sub, cfg)
+    if sub == "floquet" and cfg["scan"] is None and not cfg["equivalence"]:
+        cfg["scan"] = "phi_z"
     return cfg
 
 
@@ -256,16 +258,6 @@ def _checked(key: str, value, default):
     if isinstance(bound, (int, float)) and value < bound:
         raise ValueError(f"{key}: must be >= {bound}, got {value}")
     return number if isinstance(default, float) else value
-
-
-def _validate(sub: str, cfg: dict) -> None:
-    # each sample is a step index in [0, steps]
-    for key in ("n_times", "n_check"):
-        if key in cfg and cfg[key] > cfg["steps"] + 1:
-            raise ValueError(f"{key}: must be <= steps + 1 = {cfg['steps'] + 1}, "
-                             f"got {cfg[key]}")
-    if sub == "floquet" and cfg["scan"] is None and not cfg["equivalence"]:
-        cfg["scan"] = "phi_z"
 
 
 def _json_text(doc) -> str:
@@ -354,11 +346,8 @@ def _run_gauge_check(cfg: dict, rfs: list) -> dict:
 
 def _run_floquet(cfg: dict, rfs: list) -> dict:
     """Quasienergy scans and the contracted-cycle identity."""
-    params = WeylModelParams(
-        J=cfg["J"], lam=cfg["lam"], V1=cfg["V1"], V2=cfg["V2"], Omega=cfg["Omega"],
-        k=cfg["k"], phi_y=cfg["phi_y"], phi_z=cfg["phi_z"],
-        T0=cfg["T0"], r=cfg["r"], phi_y0=cfg["phi_y0"], phi_z0=cfg["phi_z0"],
-    )
+    params = WeylModelParams(**{f.name: cfg[f.name] for f in dataclasses.fields(WeylModelParams)
+                                if f.name in cfg})
     tables: dict = {}
     results: dict = {}
     checks: dict = {}

@@ -247,13 +247,19 @@ def calibrate_perturbative_prefactor(params: WeylModelParams) -> float:
     dominates, evolves the touching-point Hamiltonian over one pumping
     period in 20000 steps and returns T0 times the ratio of the sx
     components of (U - I)/i in that operator and in
-    :func:`perturbative_floquet`.
+    :func:`perturbative_floquet`.  ``ValueError`` if the latter's sx term,
+    2J k_x J_0(ell c) T0, is 0 (k = pi/2 or J = 0): there is nothing to match.
     """
+    def sx(u):
+        return 0.5 * np.real(np.trace(PAULI_X @ ((u - IDENTITY2) / 1j)))
+
     small = replace(params, J=params.J * 1e-3, lam=params.lam * 1e-3)
+    sx_pert = sx(perturbative_floquet(small))
+    if sx_pert == 0.0:
+        raise ValueError(f"the perturbative sx term 2J k_x J_0(ell c) T0 is 0 at "
+                         f"k_x = k - pi/2 = {small.k - math.pi / 2.0:g}, J = {params.J:g}")
     h = linearized_h_near_touching(small, include_offset=False, freeze_kz=True)
-    sx_num, sx_pert = (0.5 * np.real(np.trace(PAULI_X @ ((u - IDENTITY2) / 1j)))
-                       for u in (propagate(h, 0.0, small.T0, 20000), perturbative_floquet(small)))
-    return float(small.T0 * sx_num / sx_pert)
+    return float(small.T0 * sx(propagate(h, 0.0, small.T0, 20000)) / sx_pert)
 
 
 def linearized_h_near_touching(params: WeylModelParams,

@@ -34,6 +34,7 @@ import numpy as np
 from .propagator import (
     PauliHamiltonian,
     _align_tail,
+    _even_sample_steps,
     propagate_sampled,
     time_rescaled,
 )
@@ -156,12 +157,10 @@ def gauge_equivalence_check(
 
     The check is operator-level (valid for every initial state at once) and
     uses two independent propagations as mutual oracle.  ``n_check`` samples
-    fall on steps round(j * n_steps / (n_check - 1)), so at most n_steps + 1
-    are allowed.
+    fall on steps round(j * n_steps / (n_check - 1)), as in ``fidelity_curves``,
+    or one on the last step; a count outside [1, n_steps + 1] raises ValueError.
     """
-    if not 1 <= n_check <= n_steps + 1:
-        raise ValueError(f"n_check must be in [1, n_steps + 1 = {n_steps + 1}], got {n_check}")
-    sample = [int(round(j * n_steps / (n_check - 1))) for j in range(n_check)] if n_check > 1 else [n_steps]
+    sample = _even_sample_steps("n_check", n_check, n_steps, 1)
     p_arr = np.asarray(list(p_list), dtype=float)
     h = model_for_momentum(p_arr)
     h_tilde = time_rescaled(h, rf)

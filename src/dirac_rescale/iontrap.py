@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .propagator import PauliHamiltonian, evolve_states, norm_defect, time_rescaled
+from .propagator import (PauliHamiltonian, _even_sample_steps, evolve_states, norm_defect,
+                         time_rescaled)
 from .rescaling import RescalingFunction
 
 __all__ = [
@@ -177,9 +178,7 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
     """
     if mode not in ("incoherent", "coherent"):
         raise ValueError(f"unknown fidelity mode {mode!r}")
-    # each sample is a step index in [0, n_steps]
-    if not 2 <= n_times <= n_steps + 1:
-        raise ValueError(f"n_times must be in [2, n_steps + 1 = {n_steps + 1}], got {n_times}")
+    sample = _even_sample_steps("n_times", n_times, n_steps, 2)
     if abs(grid.quadrature_norm - 1.0) > 1e-10:
         raise ValueError("wavepacket grid is not normalized")
     if model.tau != rf.tau:
@@ -196,7 +195,6 @@ def fidelity_curves(model: IonTrapModel, rf: RescalingFunction, grid: Wavepacket
     chi_i = instantaneous_eigenstate(model, grid.p, 0.0)
     chi_f = instantaneous_eigenstate(model, grid.p, model.tau)
 
-    sample = [round(j * n_steps / (n_times - 1)) for j in range(n_times)]
     times, psis = evolve_states(h_resc, 0.0, rf.horizon, n_steps, chi_i, sample)
     if not norm_defect(psis) <= 1e-10:
         raise RuntimeError("per-mode norm drifted beyond 1e-10 during evolution")

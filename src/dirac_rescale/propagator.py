@@ -305,6 +305,13 @@ def _checked_args(t0, t1, n_steps, sample_steps):
     return (t1 - t0) / n_steps, idx
 
 
+def _even_sample_steps(name, count, n_steps, least):
+    """``count`` distinct step indices round(j * n_steps / (count - 1)), or [n_steps] for one."""
+    if not least <= count <= n_steps + 1:
+        raise ValueError(f"{name}: must be in [{least}, n_steps + 1 = {n_steps + 1}], got {count}")
+    return [int(round(j * n_steps / (count - 1))) for j in range(count)] if count > 1 else [n_steps]
+
+
 def _sampled_records(h, t0, t1, n_steps, sample_steps):
     """Sample times and the records (5, n_samples, *batch) of U(t0 + k*dt <- t0)
     at each sample index k.

@@ -724,11 +724,14 @@ def test_rescale_info_has_no_steps(tmp_path):
     ["gauge-check", "--steps", "4", "--n-check", "10"],
     ["gauge-check", "--steps", "1", "--n-check", "3"],
 ])
-def test_more_samples_than_steps_rejected(tmp_path, argv):
-    # each sample is a distinct step index in [0, steps]
+def test_more_samples_than_steps_rejected(tmp_path, capsys, argv):
+    # each sample is a distinct step index in [0, steps]; the library refuses the count
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(("error: n_times: ", "error: n_check: ")), lines
 
 
 @pytest.mark.parametrize("argv,table,rows", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -266,6 +267,18 @@ def test_perturbative_prefactor_calibration():
     p = params(k=math.pi / 2 + 0.01, phi_y=math.pi / 2 - 0.008)
     pref = calibrate_perturbative_prefactor(p)
     assert pref == pytest.approx(p.T0, rel=1e-4)
+
+
+@pytest.mark.parametrize("p", [
+    WeylModelParams(),  # k = pi/2, so k_x = 0
+    WeylModelParams(J=0.0, k=1.0, phi_y=1.2),
+], ids=["k_x=0", "J=0"])
+def test_perturbative_prefactor_refuses_a_zero_sx_term(p):
+    # 2J k_x J_0 T0 = 0 leaves nothing to match: a ValueError, not 0/0 or x/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"k_x = .*J = "):
+            calibrate_perturbative_prefactor(p)
 
 
 def test_perturbative_error_scales_quadratically():

@@ -13,7 +13,12 @@ from dirac_rescale.gauge import (
     phi_of_t,
     transformed_hamiltonian,
 )
-from dirac_rescale.iontrap import IonTrapModel, build_demo_hamiltonian
+from dirac_rescale.iontrap import (
+    IonTrapModel,
+    WavepacketGrid,
+    build_demo_hamiltonian,
+    fidelity_curves,
+)
 from dirac_rescale.propagator import (
     IDENTITY2,
     PAULI_X,
@@ -235,6 +240,19 @@ def test_gauge_check_rejects_bad_sample_count(n_steps, n_check):
     with pytest.raises(ValueError, match="n_check"):
         gauge_equivalence_check(demo_builder(), RescalingFunction(a=2.0, tau=1.0), [0.3],
                                 n_steps=n_steps, n_check=n_check)
+
+
+def test_gauge_check_samples_the_steps_of_fidelity_curves():
+    # 100 steps in 8 intervals of 12.5 are rounded half to even, so the spacing
+    # is uneven, and both checks read the same steps
+    model = IonTrapModel(tau=1.0)
+    rf = RescalingFunction(a=2.0, tau=1.0)
+    curves = fidelity_curves(model, rf, WavepacketGrid.gaussian(n_points=9), n_times=9,
+                             n_steps=100)
+    res = gauge_equivalence_check(demo_builder(), rf, [0.3], n_steps=100, n_check=9)
+    assert np.array_equal(curves.t, res.sample_times)
+    steps = np.rint(curves.t / (rf.horizon / 100))
+    assert steps.tolist() == [0, 12, 25, 38, 50, 62, 75, 88, 100]
 
 
 @pytest.mark.parametrize("n_steps,n_check", [(4, 5), (1, 2), (4, 1)])
