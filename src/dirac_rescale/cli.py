@@ -234,7 +234,12 @@ def _checked(key: str, value, default):
         values = value if isinstance(value, list) else [value]
         if not values:
             raise ValueError(f"{key}: needs at least one value")
-        return [_checked(key, v, 0.0) for v in values]
+        values = [_checked(key, v, 0.0) for v in values]
+        # results and files are keyed by value, so a repeat would silently collapse them
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{key}: repeated value {v}")
+        return values
     if default is None or isinstance(default, str):
         if value is None and default is None:
             return None

@@ -34,6 +34,7 @@ from .propagator import (
     PAULI_X,
     PAULI_Y,
     PauliHamiltonian,
+    _UNITARITY_TOL,
     propagate,
     rescaled_propagate,
     unitarity_defect,
@@ -180,7 +181,7 @@ def quasienergies(u_f, period: float):
     exactly at the zone edge is reported as +pi/period.
     """
     u_f = np.asarray(u_f)
-    if unitarity_defect(u_f) > 1e-8:
+    if unitarity_defect(u_f) > _UNITARITY_TOL:
         raise ValueError("input operator is not unitary")
     lam = np.linalg.eigvals(u_f)
     edge = math.pi / period

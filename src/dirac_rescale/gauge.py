@@ -35,6 +35,7 @@ from .propagator import (
     PauliHamiltonian,
     _align_tail,
     _even_sample_steps,
+    _to_matrix,
     propagate_sampled,
     time_rescaled,
 )
@@ -81,14 +82,9 @@ def phi_dot(rf: RescalingFunction, t):
 
 
 def K_matrix(phi):
-    """cos(phi) I + i sin(phi) sx; unitary for any phi, K(0) = I."""
-    phi = np.asarray(phi, dtype=float)
-    out = np.zeros(phi.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.cos(phi)
-    out[..., 1, 1] = np.cos(phi)
-    out[..., 0, 1] = 1j * np.sin(phi)
-    out[..., 1, 0] = 1j * np.sin(phi)
-    return out
+    """cos(phi) I + i sin(phi) sx, the SU(2) record (cos phi, -sin phi, 0, 0) at zero
+    phase as a matrix; unitary for any phi, K(0) = I."""
+    return _to_matrix((np.cos(phi), -np.sin(phi), 0.0, 0.0, 0.0))
 
 
 def frame_unitary(rf: RescalingFunction, t):

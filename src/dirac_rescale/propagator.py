@@ -160,14 +160,9 @@ class PauliHamiltonian:
         return tuple(np.broadcast_to(v, shape) for v in vals)
 
     def matrix(self, t):
-        """Dense (..., 2, 2) Hamiltonian matrix at t."""
-        d0, dx, dy, dz = self.coeffs(t)
-        out = np.zeros(d0.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = d0 + dz
-        out[..., 1, 1] = d0 - dz
-        out[..., 0, 1] = dx - 1j * dy
-        out[..., 1, 0] = dx + 1j * dy
-        return out
+        """Dense (..., 2, 2) matrix d0*I + dx*sx + dy*sy + dz*sz at t, on the PAULI_* basis."""
+        return sum(c[..., None, None] * s
+                   for c, s in zip(self.coeffs(t), (IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z)))
 
 
 def _su2_step(d0, dx, dy, dz, dt, out=None):

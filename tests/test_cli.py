@@ -679,6 +679,32 @@ def test_config_file_value_checked_under_its_flag(tmp_path, capsys, sub, key, ba
     assert json.loads(read(out / "summary.json"))["config"][key] == echoed
 
 
+@pytest.mark.parametrize("argv,file_values,err", [
+    ("iontrap --a 1 --a 1", None, "a: repeated value 1.0"),
+    ("appendix --a 2 --a 3 --a 2.0", None, "a: repeated value 2.0"),
+    ("rescale-info --a 2 --a 2", None, "a: repeated value 2.0"),
+    ("gauge-check --p 0.3 --p -0.5 --p 0.3", None, "p: repeated value 0.3"),
+    ("gauge-check --p 0 --p -0", None, "p: repeated value -0.0"),
+    ("floquet --equivalence --a 3 --a 3", None, "a: repeated value 3.0"),
+    ("appendix", {"a": [2, 2]}, "a: repeated value 2.0"),
+    # a file value is checked also under the flag that overrides it
+    ("iontrap --a 2", {"a": [4.0, 4]}, "a: repeated value 4.0"),
+    ("gauge-check", {"p": [1, -1, 1.0]}, "p: repeated value 1.0"),
+], ids=["iontrap-a", "appendix-a", "rescale-info-a", "gauge-check-p", "gauge-check-signed-zero",
+        "floquet-a", "appendix-file-a", "iontrap-file-a-under-flag", "gauge-check-file-p"])
+def test_repeated_list_value_refused(tmp_path, capsys, argv, file_values, err):
+    # per-a results and files are keyed by the value, so a repeat would collapse them
+    out = tmp_path / "run"
+    config = []
+    if file_values is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_values))
+        config = ["--config", str(cfg)]
+    assert main([*argv.split(), *config, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["gauge-check", "--conf", "x"], "--conf"),
     (["iontrap", "--ste", "5"], "--ste"),

@@ -27,7 +27,14 @@ from dirac_rescale.floquet import (
     rescaled_floquet_equivalence,
     scan_quasienergies,
 )
-from dirac_rescale.propagator import IDENTITY2, PAULI_X, PauliHamiltonian, propagate
+from dirac_rescale.propagator import (
+    _UNITARITY_TOL,
+    IDENTITY2,
+    PAULI_X,
+    PauliHamiltonian,
+    propagate,
+    su2_exponential,
+)
 from dirac_rescale.rescaling import RescalingFunction
 
 
@@ -164,6 +171,19 @@ def test_quasienergies_zone_edge_tie():
 def test_quasienergies_reject_non_unitary():
     with pytest.raises(ValueError):
         quasienergies(np.array([[2.0, 0.0], [0.0, 0.5]], dtype=complex), 1.0)
+
+
+@pytest.mark.parametrize("defect,accepted", [(0.5 * _UNITARITY_TOL, True),
+                                             (2.0 * _UNITARITY_TOL, False)])
+def test_quasienergies_refuse_at_the_propagator_unitarity_bound(defect, accepted):
+    # (1 + eps) R has U^dag U - I = (2 eps + eps^2) I, so 1 + eps = sqrt(1 + defect)
+    r = su2_exponential(0.2, 0.3, -0.4, 0.5, 1.3)
+    u = math.sqrt(1.0 + defect) * r
+    if accepted:
+        np.testing.assert_allclose(quasienergies(u, 1.0), quasienergies(r, 1.0), atol=1e-12)
+    else:
+        with pytest.raises(ValueError, match="not unitary"):
+            quasienergies(u, 1.0)
 
 
 def test_quasienergies_start_time_invariant():

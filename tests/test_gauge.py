@@ -59,6 +59,22 @@ def test_K_matrix_special_values():
     np.testing.assert_allclose(K_matrix(np.pi / 2), 1j * PAULI_X, atol=1e-15)
 
 
+@pytest.mark.parametrize("phi", [0.0, -0.0, -2.5, 1e6,
+                                 np.random.default_rng(5).uniform(-10.0, 10.0, (3, 4))],
+                         ids=["0", "-0", "-2.5", "1e6", "array"])
+def test_K_matrix_is_cos_identity_plus_i_sin_sigma_x(phi):
+    c, s = (np.asarray(f(phi))[..., None, None] for f in (np.cos, np.sin))
+    got = K_matrix(phi)
+    assert got.shape == np.shape(phi) + (2, 2)
+    np.testing.assert_array_equal(got, c * IDENTITY2 + 1j * s * PAULI_X)
+
+
+def test_frame_unitary_is_K_at_minus_phi():
+    rf = RescalingFunction(a=3.0, tau=1.0)
+    t = np.linspace(0.0, rf.horizon, 11)
+    np.testing.assert_array_equal(frame_unitary(rf, t), K_matrix(-phi_of_t(rf, t)))
+
+
 def test_K_matrix_unitary_sweep():
     rng = np.random.default_rng(3)
     for phi in rng.uniform(-np.pi, np.pi, size=200):

@@ -56,6 +56,27 @@ def test_step_zero_hamiltonian_is_identity():
     np.testing.assert_allclose(propagate(h, 0.0, 0.5, 1), IDENTITY2, atol=1e-15)
 
 
+@pytest.mark.parametrize("kind,t_shape", [("time", ()), ("time", (7,)), ("mode", ()),
+                                          ("mode", (2, 4))])
+def test_matrix_is_the_entrywise_pauli_formula(kind, t_shape):
+    # [[d0 + dz, dx - i dy], [dx + i dy, d0 - dz]] exactly, entry for entry
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-2.0, 2.0, size=t_shape)
+    amp, freq = rng.normal(size=(2, 4))
+    modes = rng.normal(size=(4, 3))
+    if kind == "time":
+        h = PauliHamiltonian(lambda t: tuple(a * np.cos(w * t) for a, w in zip(amp, freq)))
+    else:
+        h = PauliHamiltonian(lambda t: tuple(modes))
+    d0, dx, dy, dz = h.coeffs(t)
+    want = np.empty(d0.shape + (2, 2), dtype=complex)
+    want[..., 0, 0], want[..., 0, 1] = d0 + dz, dx - 1j * dy
+    want[..., 1, 0], want[..., 1, 1] = dx + 1j * dy, d0 - dz
+    got = h.matrix(t)
+    assert got.shape == t.shape + (() if kind == "time" else (3,)) + (2, 2)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_step_matches_dense_expm():
     h = PauliHamiltonian.constant(dx=1.0, dz=1.0)
     dt = 0.2
