@@ -63,83 +63,6 @@ def _fmt(x) -> str:
     return _FLOAT % float(x)
 
 
-_COMMON = {"out": ".", "format": "csv", "config": None}
-
-#: every config key of each subcommand; each is also the flag --key-with-dashes,
-#: whose kind follows the type of the default (see _build_parser).  The CF4
-#: step counts keep every check value at or below the midpoint rule's at
-#: 4000 steps per window and 150000 per pumping cycle.
-DEFAULTS = {
-    "iontrap": {
-        **_COMMON,
-        "tau": 1.0,
-        # a multiple of n_times - 1, so the samples fall on equally spaced steps
-        "steps": 256,
-        "a": [1.0],
-        "n_times": 33,
-        "p0": 0.0,
-        "sigma_p": 0.05,
-        "grid_points": 129,
-        "fidelity_mode": "incoherent",
-    },
-    "gauge-check": {
-        **_COMMON,
-        "tau": 1.0,
-        # a multiple of n_check - 1
-        "steps": 512,
-        "a": [2.0],
-        "p": [-1.0, 0.0, 1.0],
-        "n_check": 9,
-        "tol": 1e-6,
-    },
-    "floquet": {
-        **_COMMON,
-        # the pumping window is T0 = 50 drive periods, hence the larger step count
-        "steps": 4000,
-        "a": [2.0],
-        # generic mode away from band degeneracies
-        "J": 0.2,
-        "lam": 0.15,
-        "V1": 0.5,
-        "V2": 0.25,
-        "Omega": 2.0 * math.pi,
-        "k": 1.1,
-        "phi_y": 0.8,
-        "phi_z": 0.5,
-        "T0": 50.0,
-        "r": 0.3,
-        "phi_y0": 0.8,
-        "phi_z0": 0.5,
-        "equivalence": False,
-        "scan": None,
-        "scan_min": -math.pi,
-        "scan_max": math.pi,
-        "scan_points": 65,
-        "period_steps": 256,
-        "tol": 1e-6,
-    },
-    "appendix": {
-        **_COMMON,
-        "tau": 1.0,
-        "steps": 4000,
-        "a": [2.0],
-        "mode": "classical",
-        "potential": "quartic",
-        "x0": 1.0,
-        "p0": 0.0,
-        "mass": 1.0,
-        "n_record": 200,
-        "tol": 1e-5,
-    },
-    "rescale-info": {
-        **_COMMON,
-        "tau": 1.0,
-        "a": [2.0],
-        "n_samples": 101,
-    },
-}
-
-
 #: each key's bound and flag help, for every subcommand that has the key.  The
 #: bound is the list of allowed strings, the smallest allowed number, or
 #: "positive"; None is neither.  A key with no bound and no help has no entry.
@@ -181,9 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Time-rescaled shortcuts for two-level Dirac-type dynamics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, defaults in DEFAULTS.items():
+    for name, (run, _, defaults) in SUBCOMMANDS.items():
         # no prefix matching: a mistyped or removed flag fails as unknown
-        sp = sub.add_parser(name, help=_RUNNERS[name].__doc__, allow_abbrev=False)
+        sp = sub.add_parser(name, help=run.__doc__, allow_abbrev=False)
         for key, default in defaults.items():
             bound, help_text = KEYS.get(key, (None, None))
             if isinstance(default, bool):
@@ -201,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     sub = args.subcommand
-    defaults = DEFAULTS[sub]
+    defaults = SUBCOMMANDS[sub][2]
     file_values = {}
     if args.config is not None:
         try:
@@ -425,12 +348,81 @@ def _run_rescale_info(cfg: dict, rfs: list) -> dict:
             "results": results, "checks": checks}
 
 
-_RUNNERS = {
-    "iontrap": _run_iontrap,
-    "gauge-check": _run_gauge_check,
-    "floquet": _run_floquet,
-    "appendix": _run_appendix,
-    "rescale-info": _run_rescale_info,
+_COMMON = {"out": ".", "format": "csv", "config": None}
+
+#: each subcommand's runner, the config key of the duration that --a contracts,
+#: and its defaults: every config key of the subcommand, each also the flag
+#: --key-with-dashes, whose kind follows the type of the default (see
+#: _build_parser).  The CF4 step counts keep every check value at or below the
+#: midpoint rule's at 4000 steps per window and 150000 per pumping cycle.
+SUBCOMMANDS = {
+    "iontrap": (_run_iontrap, "tau", {
+        **_COMMON,
+        "tau": 1.0,
+        # a multiple of n_times - 1, so the samples fall on equally spaced steps
+        "steps": 256,
+        "a": [1.0],
+        "n_times": 33,
+        "p0": 0.0,
+        "sigma_p": 0.05,
+        "grid_points": 129,
+        "fidelity_mode": "incoherent",
+    }),
+    "gauge-check": (_run_gauge_check, "tau", {
+        **_COMMON,
+        "tau": 1.0,
+        # a multiple of n_check - 1
+        "steps": 512,
+        "a": [2.0],
+        "p": [-1.0, 0.0, 1.0],
+        "n_check": 9,
+        "tol": 1e-6,
+    }),
+    "floquet": (_run_floquet, "T0", {
+        **_COMMON,
+        # the pumping window is T0 = 50 drive periods, hence the larger step count
+        "steps": 4000,
+        "a": [2.0],
+        # generic mode away from band degeneracies
+        "J": 0.2,
+        "lam": 0.15,
+        "V1": 0.5,
+        "V2": 0.25,
+        "Omega": 2.0 * math.pi,
+        "k": 1.1,
+        "phi_y": 0.8,
+        "phi_z": 0.5,
+        "T0": 50.0,
+        "r": 0.3,
+        "phi_y0": 0.8,
+        "phi_z0": 0.5,
+        "equivalence": False,
+        "scan": None,
+        "scan_min": -math.pi,
+        "scan_max": math.pi,
+        "scan_points": 65,
+        "period_steps": 256,
+        "tol": 1e-6,
+    }),
+    "appendix": (_run_appendix, "tau", {
+        **_COMMON,
+        "tau": 1.0,
+        "steps": 4000,
+        "a": [2.0],
+        "mode": "classical",
+        "potential": "quartic",
+        "x0": 1.0,
+        "p0": 0.0,
+        "mass": 1.0,
+        "n_record": 200,
+        "tol": 1e-5,
+    }),
+    "rescale-info": (_run_rescale_info, "tau", {
+        **_COMMON,
+        "tau": 1.0,
+        "a": [2.0],
+        "n_samples": 101,
+    }),
 }
 
 
@@ -441,17 +433,17 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    run, horizon, _ = SUBCOMMANDS[args.subcommand]
     try:
         cfg = _resolve_config(args)
         # every rescaling is built, and so checked, before any work
-        tau = cfg["T0"] if args.subcommand == "floquet" else cfg["tau"]
-        rfs = [RescalingFunction(a=a, tau=tau) for a in cfg["a"]]
+        rfs = [RescalingFunction(a=a, tau=cfg[horizon]) for a in cfg["a"]]
         # a non-finite value fails the run below, so numpy need not warn of it first
         # the filters stay as set, so a warning made an error still raises
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
                 warnings.catch_warnings():
             warnings.showwarning = _print_warning
-            outcome = _RUNNERS[args.subcommand](cfg, rfs)
+            outcome = run(cfg, rfs)
         files = {f"{name}.{cfg['format']}": _table_text(header, blocks, cfg["format"])
                  for name, (header, blocks) in outcome["tables"].items()}
         failed = sorted(name for name, c in outcome["checks"].items() if not c["passed"])

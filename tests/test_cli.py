@@ -1,4 +1,7 @@
+import argparse
+import ast
 import contextlib
+import inspect
 import json
 import math
 import os
@@ -15,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_rescale import cli
-from dirac_rescale.cli import DEFAULTS, KEYS, _build_parser, main
+from dirac_rescale.cli import KEYS, SUBCOMMANDS, _build_parser, main
+
+DEFAULTS = {name: defaults for name, (_, _, defaults) in SUBCOMMANDS.items()}
 
 
 def read(path):
@@ -91,7 +96,8 @@ def test_non_finite_result_not_published(tmp_path, capsys, monkeypatch, value):
         return {"tables": {"rescaling": (["a"], [(1.0,)])}, "results": {"bad": value},
                 "checks": {}}
 
-    monkeypatch.setitem(cli._RUNNERS, "rescale-info", runner)
+    monkeypatch.setitem(cli.SUBCOMMANDS, "rescale-info",
+                        (runner, *cli.SUBCOMMANDS["rescale-info"][1:]))
     out = tmp_path / "run"
     assert main(["rescale-info", "--out", str(out)]) == 3
     assert not out.exists()
@@ -517,6 +523,21 @@ def test_back_to_back_runs_match_lone_runs(tmp_path, monkeypatch):
 
 def _flag(key):
     return "--" + key.replace("_", "-")
+
+
+def test_one_table_entry_per_subcommand():
+    # the parser offers the table's subcommands in table order; each entry's
+    # contracted duration is one of its own config keys, bounded positive; and
+    # main names no subcommand, so a subcommand lives in its entry alone
+    parser = _build_parser()
+    choices = next(action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert list(choices) == list(SUBCOMMANDS)
+    for name, (_, horizon, defaults) in SUBCOMMANDS.items():
+        assert horizon in defaults and KEYS[horizon][0] == "positive", name
+    constants = {node.value for node in ast.walk(ast.parse(inspect.getsource(main)))
+                 if isinstance(node, ast.Constant)}
+    assert not constants & set(SUBCOMMANDS)
 
 
 def test_parser_flags_follow_defaults():
