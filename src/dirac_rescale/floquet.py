@@ -201,6 +201,8 @@ def scan_quasienergies(params: WeylModelParams, axis: str, values, n_steps: int)
     """
     if axis not in ("k", "phi_y", "phi_z"):
         raise ValueError(f"scan axis must be k, phi_y or phi_z, got {axis!r}")
+    if not np.size(values):
+        raise ValueError("values: a scan needs at least one value")
     angles = {"k": params.k, "phi_y": params.phi_y, "phi_z": params.phi_z}
     angles[axis] = _wrap_angle(np.atleast_1d(values))
     h = _frozen_mode_h(params, **angles)

@@ -27,7 +27,7 @@ caller's choice (the CLI's ``--tol``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -129,27 +129,20 @@ def transformed_hamiltonian(rf: RescalingFunction, model: PauliHamiltonian) -> P
 
 @dataclass(frozen=True)
 class GaugeEquivalenceResult:
-    momenta: np.ndarray
     sample_times: np.ndarray
-    deviations: np.ndarray  # (n_p, n_times) operator-norm mismatches
+    deviations: np.ndarray  # (*batch, n_check) operator-norm mismatches
     max_deviation: float
 
 
-def gauge_equivalence_check(
-    model_for_momentum: Callable[[np.ndarray], PauliHamiltonian],
-    rf: RescalingFunction,
-    p_list: Sequence[float],
-    n_steps: int = 4000,
-    n_check: int = 9,
-) -> GaugeEquivalenceResult:
+def gauge_equivalence_check(h: PauliHamiltonian, rf: RescalingFunction, n_steps: int = 4000,
+                            n_check: int = 9) -> GaugeEquivalenceResult:
     """Propagate both frames and measure the mismatch of U_tilde(t) = K(t) U_frame(t).
 
-    ``model_for_momentum`` receives the momenta as one array (n_p,) and
-    returns a Hamiltonian with a trailing mode axis of that length (e.g.
-    :func:`~dirac_rescale.iontrap.build_demo_hamiltonian`).  Both frames
-    share the window [0, tau/a], so they are stacked on one axis before the
-    modes and propagated together; the propagator is batch-invariant, so
-    each momentum's result is bitwise that of a run on its own.
+    ``h`` may carry any batch (e.g. the mode axis of
+    :func:`~dirac_rescale.iontrap.build_demo_hamiltonian` at an array p).  Both
+    frames share the window [0, tau/a], so they are stacked on one axis right
+    after the time axes and propagated together; the propagator is
+    batch-invariant, so each mode's result is bitwise that of a run on its own.
 
     The check is operator-level (valid for every initial state at once) and
     uses two independent propagations as mutual oracle.  ``n_check`` samples
@@ -157,21 +150,16 @@ def gauge_equivalence_check(
     or one on the last step; a count outside [1, n_steps + 1] raises ValueError.
     """
     sample = _even_sample_steps("n_check", n_check, n_steps, 1)
-    p_arr = np.asarray(list(p_list), dtype=float)
-    h = model_for_momentum(p_arr)
     h_tilde = time_rescaled(h, rf)
     h_frak = transformed_hamiltonian(rf, h)
-    # coefficients (..., frame, mode): the substituted run first, the rotated frame second;
+    # coefficients (*t, frame, *batch): the substituted run first, the rotated frame second;
     # each pair is broadcast to one shape first, as the frames' terms keep their own
     h_both = PauliHamiltonian(lambda t: tuple(
-        np.stack(np.broadcast_arrays(*pair), axis=-2)
+        np.stack(np.broadcast_arrays(*pair), axis=t.ndim)
         for pair in zip(h_tilde._aligned_terms(t)[1], h_frak._aligned_terms(t)[1])))
     times, us = propagate_sampled(h_both, 0.0, rf.horizon, n_steps, sample)
-    mismatch = us[:, 0] - frame_unitary(rf, times)[:, None] @ us[:, 1]
-    devs = np.linalg.norm(mismatch, ord=2, axis=(-2, -1)).T
-    return GaugeEquivalenceResult(
-        momenta=p_arr,
-        sample_times=times,
-        deviations=devs,
-        max_deviation=float(devs.max()),
-    )
+    # us is (n_check, frame, *batch, 2, 2); K(t) broadcasts over the batch
+    k = frame_unitary(rf, times).reshape((n_check,) + (1,) * (us.ndim - 4) + (2, 2))
+    norms = np.linalg.norm(us[:, 0] - k @ us[:, 1], ord=2, axis=(-2, -1))
+    deviations = np.moveaxis(norms, 0, -1)
+    return GaugeEquivalenceResult(times, deviations, float(deviations.max()))

@@ -324,6 +324,8 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps):
     """
     dt, idx = _checked_args(t0, t1, n_steps, sample_steps)
     u = np.zeros((5,) + h._aligned_terms(t0 + 0.5 * dt)[0])
+    if not u[0].size:
+        raise ValueError("h: its batch is empty, so there is no mode to propagate")
     u[0] = 1.0
     records = np.empty((5, len(idx)) + u.shape[1:])
     records[:, :bisect_right(idx, 0)] = u[:, None]

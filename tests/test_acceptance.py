@@ -159,10 +159,8 @@ def test_criterion_4_gauge_equivalence():
     worst = 0.0
     for a in (2.0, 4.0):
         rf = RescalingFunction(a=a, tau=TAU)
-        res = gauge_equivalence_check(
-            lambda p: build_demo_hamiltonian(model, p), rf,
-            [-1.0, 0.0, 1.0], n_steps=4000,
-        )
+        res = gauge_equivalence_check(build_demo_hamiltonian(model, [-1.0, 0.0, 1.0]), rf,
+                                      n_steps=4000)
         worst = max(worst, res.max_deviation)
 
     # defining property of the frame angle: df cos(2 phi) = 1 exactly

@@ -421,3 +421,9 @@ def test_scan_matches_loop_bitwise(axis, values, n_steps):
 def test_scan_rejects_unknown_axis():
     with pytest.raises(ValueError, match="scan axis"):
         scan_quasienergies(params(), "ell", [0.0], 16)
+
+
+@pytest.mark.parametrize("values", [[], np.array([]), np.empty((0, 3))], ids=["list", "1-d", "2-d"])
+def test_scan_rejects_empty_values(values):
+    with pytest.raises(ValueError, match="^values: a scan needs at least one value$"):
+        scan_quasienergies(params(), "k", values, 16)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dirac_rescale.floquet import WeylModelParams, build_rotating_frame_h
 from dirac_rescale.gauge import (
     K_matrix,
     frak_vector_potential,
@@ -175,24 +176,64 @@ def test_transformed_matches_numeric_conjugation():
         assert np.max(np.abs(h_frak.matrix(s) - numeric)) < 1e-6
 
 
-def demo_builder(tau=1.0):
-    model = IonTrapModel(tau=tau)
-    return lambda p: build_demo_hamiltonian(model, p)
+def demo_h(ps, tau=1.0):
+    return build_demo_hamiltonian(IonTrapModel(tau=tau), ps)
 
 
 def test_gauge_equivalence_identity_rescaling():
-    res = gauge_equivalence_check(demo_builder(), RescalingFunction(a=1.0, tau=1.0), [0.3], n_steps=500)
+    res = gauge_equivalence_check(demo_h([0.3]), RescalingFunction(a=1.0, tau=1.0), n_steps=500)
     assert res.max_deviation < 1e-12
 
 
 def test_gauge_equivalence_a2():
-    res = gauge_equivalence_check(demo_builder(), RescalingFunction(a=2.0, tau=1.0), [0.3], n_steps=4000)
+    res = gauge_equivalence_check(demo_h([0.3]), RescalingFunction(a=2.0, tau=1.0), n_steps=4000)
     assert res.max_deviation <= 1e-6
 
 
 def test_gauge_equivalence_a4_momentum_sweep():
-    res = gauge_equivalence_check(demo_builder(), RescalingFunction(a=4.0, tau=1.0), [-1.0, 0.0, 1.0], n_steps=4000)
+    res = gauge_equivalence_check(demo_h([-1.0, 0.0, 1.0]), RescalingFunction(a=4.0, tau=1.0),
+                                  n_steps=4000)
     assert res.max_deviation <= 1e-6
+
+
+@pytest.mark.parametrize("h", [
+    PauliHamiltonian.constant(d0=0.3, dx=0.4, dy=-0.2, dz=0.9),
+    build_rotating_frame_h(WeylModelParams(V1=0.5, V2=0.25, k=1.1, phi_y=0.8, phi_z=0.5)),
+], ids=["constant", "rotating-frame"])
+@pytest.mark.parametrize("a", [2.0, 4.0])
+def test_gauge_check_every_pauli_term_fourth_order(h, a):
+    # nonzero d0 and dy, which the demo model lacks, and no mode axis: each
+    # row of transformed_hamiltonian must hold for the frames to converge at
+    # fourth order
+    rf = RescalingFunction(a=a, tau=1.0)
+    ns = np.array([128, 256, 512])
+    devs = [gauge_equivalence_check(h, rf, n_steps=int(n)).max_deviation for n in ns]
+    slope = -np.polyfit(np.log(ns), np.log(devs), 1)[0]
+    assert 3.8 <= slope <= 4.2
+    assert devs[-1] <= 1e-10
+
+
+def test_gauge_check_two_batch_axes_match_no_mode_runs_bitwise():
+    # the frames stack right after the time axes, so a (2, 3) batch is checked
+    # as one propagation and each entry is to the bit a run without a mode axis
+    d = np.random.default_rng(7).uniform(-1.0, 1.0, (4, 2, 3))
+    rf = RescalingFunction(a=3.0, tau=1.0)
+
+    def run(c):
+        h = PauliHamiltonian(lambda t: tuple(
+            v + 0.5 * np.sin(t).reshape(t.shape + (1,) * np.ndim(v)) for v in c))
+        return gauge_equivalence_check(h, rf, n_steps=64, n_check=5)
+
+    batch = run(d)
+    assert batch.deviations.shape == (2, 3, 5)
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(batch.deviations[i], run(d[(slice(None),) + i]).deviations)
+
+
+def test_gauge_check_refuses_empty_batch():
+    with pytest.raises(ValueError, match="^h: its batch is empty"):
+        gauge_equivalence_check(demo_h(np.array([])), RescalingFunction(a=2.0, tau=1.0),
+                                n_steps=8)
 
 
 def test_phi_domain_error():
@@ -205,8 +246,8 @@ def test_gauge_check_order_4():
     # fourth order: at 512 steps the frames agree to 1e-10
     model = IonTrapModel(tau=1.0)
     rf = RescalingFunction(a=2.0, tau=1.0)
-    res = gauge_equivalence_check(lambda p: build_demo_hamiltonian(model, p), rf,
-                                  [-1.0, 0.0, 1.0], n_steps=512)
+    res = gauge_equivalence_check(build_demo_hamiltonian(model, [-1.0, 0.0, 1.0]), rf,
+                                  n_steps=512)
     assert res.max_deviation < 1e-10
 
 
@@ -232,19 +273,20 @@ def _one_momentum_reference(rf, p, n_steps, n_check):
 @example(p=np.array([-0.9, -0.3, 0.1, 0.5, 0.77]), a=4.0, n_steps=512)
 def test_gauge_check_batch_matches_single_momenta_bitwise(p, a, n_steps):
     # all momenta and both frames in one propagation give each momentum's
-    # deviations to the bit, as one-momentum calls and as scalar-p runs do
+    # deviations to the bit, as one-momentum calls, runs without a mode axis
+    # and scalar-p propagations do
     rf = RescalingFunction(a=a, tau=1.0)
     n_check = min(9, n_steps + 1)
 
     def run(ps):
-        return gauge_equivalence_check(demo_builder(), rf, ps, n_steps=n_steps,
-                                       n_check=n_check)
+        return gauge_equivalence_check(demo_h(ps), rf, n_steps=n_steps, n_check=n_check)
 
     batch = run(p)
     singles = [run([v]) for v in p]
-    assert np.array_equal(batch.momenta, p)
+    no_mode = [run(float(v)) for v in p]
     assert np.array_equal(batch.deviations, np.concatenate([s.deviations for s in singles]))
-    assert all(np.array_equal(batch.sample_times, s.sample_times) for s in singles)
+    assert np.array_equal(batch.deviations, np.stack([s.deviations for s in no_mode]))
+    assert all(np.array_equal(batch.sample_times, s.sample_times) for s in singles + no_mode)
     times, devs = _one_momentum_reference(rf, p[0], n_steps, n_check)
     assert np.array_equal(batch.sample_times, times)
     assert np.array_equal(batch.deviations[0], devs)
@@ -254,7 +296,7 @@ def test_gauge_check_batch_matches_single_momenta_bitwise(p, a, n_steps):
 def test_gauge_check_rejects_bad_sample_count(n_steps, n_check):
     # each sample is a distinct step index in [0, n_steps]
     with pytest.raises(ValueError, match="n_check"):
-        gauge_equivalence_check(demo_builder(), RescalingFunction(a=2.0, tau=1.0), [0.3],
+        gauge_equivalence_check(demo_h([0.3]), RescalingFunction(a=2.0, tau=1.0),
                                 n_steps=n_steps, n_check=n_check)
 
 
@@ -265,7 +307,7 @@ def test_gauge_check_samples_the_steps_of_fidelity_curves():
     rf = RescalingFunction(a=2.0, tau=1.0)
     curves = fidelity_curves(model, rf, WavepacketGrid.gaussian(n_points=9), n_times=9,
                              n_steps=100)
-    res = gauge_equivalence_check(demo_builder(), rf, [0.3], n_steps=100, n_check=9)
+    res = gauge_equivalence_check(demo_h([0.3]), rf, n_steps=100, n_check=9)
     assert np.array_equal(curves.t, res.sample_times)
     steps = np.rint(curves.t / (rf.horizon / 100))
     assert steps.tolist() == [0, 12, 25, 38, 50, 62, 75, 88, 100]
@@ -273,7 +315,7 @@ def test_gauge_check_samples_the_steps_of_fidelity_curves():
 
 @pytest.mark.parametrize("n_steps,n_check", [(4, 5), (1, 2), (4, 1)])
 def test_gauge_check_accepts_one_sample_per_step(n_steps, n_check):
-    res = gauge_equivalence_check(demo_builder(), RescalingFunction(a=2.0, tau=1.0), [0.3],
+    res = gauge_equivalence_check(demo_h([0.3]), RescalingFunction(a=2.0, tau=1.0),
                                   n_steps=n_steps, n_check=n_check)
     assert res.sample_times.size == len(set(res.sample_times)) == n_check
     assert res.sample_times[-1] == pytest.approx(0.5)

@@ -96,6 +96,17 @@ def test_step_rejects_bad_input():
         propagate(h, 0.0, -0.1, 1)
 
 
+@pytest.mark.parametrize("batch", [(0,), (3, 0)])
+def test_propagators_refuse_empty_batch(batch):
+    # numpy's empty-reduction error would otherwise surface from the unitarity check
+    h = PauliHamiltonian.constant(dx=np.ones(batch), dz=1.0)
+    for run in (lambda: propagate(h, 0.0, 1.0, 4),
+                lambda: propagate_sampled(h, 0.0, 1.0, 4, [2, 4]),
+                lambda: evolve_states(h, 0.0, 1.0, 4, np.array([1.0, 0.0]), [4])):
+        with pytest.raises(ValueError, match="^h: its batch is empty"):
+            run()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)),
