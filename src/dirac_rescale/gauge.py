@@ -7,6 +7,8 @@ takes the RescalingFunction itself; it defines a time-dependent unitary
 built from exp(i phi sx) that restores a constant rest energy.  What remains
 is a shifted kinetic coefficient (an inertial, momentum-dependent vector
 potential) plus a pseudoscalar sy term with coefficient m sqrt(df^2 - 1).
+phi and dphi/dt come from half the rescaling's phase, omega t / 2, so they
+are accurate to rounding up to the window's edges.
 
 Convention used throughout: with the frame unitary K(t) = exp(-i phi(t) sx),
 a solution of the substituted dynamics factorizes as psi_tilde = K * phi_sol
@@ -51,34 +53,29 @@ __all__ = [
     "gauge_equivalence_check",
 ]
 
-#: df - 1 below which the inertial term switches to its series limit
-_ENDPOINT_EPS = 1e-12
+
+def _frame_angle(rf: RescalingFunction, t):
+    """(df, df sin 2phi, dphi/dt) from theta = omega t / 2, which runs over [0, pi].
+
+    As df - 1 = 2 (a - 1) sin^2 theta, sqrt(df^2 - 1) = sqrt(2 (a - 1) (df + 1)) sin theta
+    and d2f / (2 df sqrt(df^2 - 1)) = sqrt((a - 1)/2) omega cos theta / (df sqrt(df + 1)).
+    The right-hand forms cancel nothing: they hold to rounding up to the window's edges,
+    where the left-hand ones are 0/0.  A time in the slack is taken at the end.
+    """
+    fd = rf.df(t)
+    theta = 0.5 * rf.omega * np.clip(t, 0.0, rf.horizon)
+    half, root = np.sqrt(0.5 * (rf.a - 1.0)), np.sqrt(fd + 1.0)
+    return fd, 2.0 * half * root * np.sin(theta), half * rf.omega * np.cos(theta) / (fd * root)
 
 
 def phi_of_t(rf: RescalingFunction, t):
-    """Principal angle 0.5*arccos(1/df(t)) in [0, pi/4)."""
-    return 0.5 * np.arccos(np.clip(1.0 / rf.df(t), -1.0, 1.0))
+    """Principal angle phi in [0, pi/4) with cos(2 phi) = 1/df(t)."""
+    return 0.5 * np.arctan(_frame_angle(rf, t)[1])
 
 
 def phi_dot(rf: RescalingFunction, t):
-    """d(phi)/dt = d2f / (2 df sqrt(df^2 - 1)), with its finite endpoint limit.
-
-    Where df = 1 the quotient is 0/0; the series limit is +sqrt(d3f)/2 when
-    entering the window and -sqrt(d3f)/2 when leaving it.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    fd = rf.df(t_arr)
-    f2 = rf.d2f(t_arr)
-    g = fd * fd - 1.0
-    regular = fd - 1.0 > _ENDPOINT_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(regular, f2 / (2.0 * fd * np.sqrt(np.where(regular, g, 1.0))), 0.0)
-    if not np.all(regular):
-        f3 = rf.d3f(t_arr)
-        sign = np.where(t_arr <= 0.5 * rf.horizon, 1.0, -1.0)
-        limit = sign * 0.5 * np.sqrt(np.maximum(f3, 0.0))
-        val = np.where(regular, val, limit)
-    return val[()]
+    """d(phi)/dt = d2f / (2 df sqrt(df^2 - 1)), finite at the window's edges."""
+    return _frame_angle(rf, t)[2]
 
 
 def K_matrix(phi):
@@ -97,7 +94,7 @@ def frak_vector_potential(rf: RescalingFunction, vector_potential: Callable, t, 
 
         df*A(f) + (df - 1)*p + d2f / (2 df sqrt(df^2 - 1)) ,
 
-    the last term being dphi/dt (finite endpoint limit included).
+    the last term being dphi/dt, accurate to rounding up to the window's edges.
     """
     fd = rf.df(t)
     a_resc = fd * np.asarray(vector_potential(rf.f(t)), dtype=float)
@@ -117,10 +114,8 @@ def transformed_hamiltonian(rf: RescalingFunction, model: PauliHamiltonian) -> P
 
     def terms(t):
         _, (z0, zx, zy, zz) = model._aligned_terms(rf.f(t))
-        fd = _align_tail(rf.df(t), z0)
         # df*cos(2 phi) = 1 and df*sin(2 phi) = sqrt(df^2 - 1)
-        sin2phi_scaled = np.sqrt(np.maximum(fd * fd - 1.0, 0.0))
-        inertial = _align_tail(phi_dot(rf, t), z0)
+        fd, sin2phi_scaled, inertial = (_align_tail(v, z0) for v in _frame_angle(rf, t))
         return (fd * z0, fd * zx - inertial,
                 zy + sin2phi_scaled * zz, zz - sin2phi_scaled * zy)
 

@@ -329,7 +329,7 @@ def _sampled_records(h, t0, t1, n_steps, sample_steps):
     u[0] = 1.0
     records = np.empty((5, len(idx)) + u.shape[1:])
     records[:, :bisect_right(idx, 0)] = u[:, None]
-    budget = 2 * _BLOCK_STEPS // max(u[0].size, 1)
+    budget = 2 * _BLOCK_STEPS // u[0].size
     ends = (min(lo + _BLOCK_STEPS, k) for prev, k in zip([0] + idx, idx)
             for lo in range(prev, k, _BLOCK_STEPS))
     # the pieces tile [0, idx[-1]], so each starts where the one before ended

@@ -39,8 +39,8 @@ def dirac_model(p, m=1.0, c=1.0, vector_potential=lambda t: 0.0 * np.asarray(t),
 
 def test_phi_zero_at_endpoints():
     rf = RescalingFunction(a=3.0, tau=1.0)
-    assert phi_of_t(rf, 0.0) == pytest.approx(0.0, abs=1e-7)
-    assert phi_of_t(rf, rf.horizon) == pytest.approx(0.0, abs=1e-7)
+    assert phi_of_t(rf, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert phi_of_t(rf, rf.horizon) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_phi_exact_arccos_value():
@@ -53,6 +53,50 @@ def test_phi_matches_derivative_composition():
     rf = RescalingFunction(a=2.0, tau=1.0)
     t = 0.2
     assert phi_of_t(rf, t) == pytest.approx(0.5 * np.arccos(1.0 / rf.df(t)), abs=1e-15)
+
+
+@pytest.mark.parametrize("tau", [1.0, 3.0])
+@pytest.mark.parametrize("a", [1.5, 2.0, 4.0, 100.0])
+def test_frame_angle_near_the_window_edges(a, tau):
+    # phi rises as s t from the start and falls as s (h - t) to the end, with
+    # phi_dot = +-s, s = omega sqrt(a - 1) / 2; here 1/df rounds to 1 or near it,
+    # so 0.5 arccos(1/df) reads 0 at 1e-9 h and is off by up to 5.5e-4 at 1e-7 h
+    rf = RescalingFunction(a=a, tau=tau)
+    s, h = rf.omega * np.sqrt(a - 1.0) / 2.0, rf.horizon
+    for t in (1e-9 * h, 1e-7 * h):
+        assert phi_of_t(rf, t) == pytest.approx(s * t, rel=1e-10)
+        assert phi_dot(rf, t) == pytest.approx(s, rel=1e-10)
+    # rel 1e-8: h - e itself carries the rounding of h, 1e-9 of it
+    e = h - 1e-7 * h
+    assert phi_of_t(rf, e) == pytest.approx(s * (h - e), rel=1e-8)
+    assert phi_dot(rf, e) == pytest.approx(-s, rel=1e-8)
+
+
+@pytest.mark.parametrize("tau", [1.0, 3.0])
+@pytest.mark.parametrize("a", [1.5, 2.0, 4.0])
+def test_frame_angle_in_the_slack_is_taken_at_the_end(a, tau):
+    # a time within the rescaling's slack past either end is taken at that end;
+    # there phi is about sqrt(a - 1) sin(pi rounded) = 1.2e-16 sqrt(a - 1), so
+    # a = 100 would read 1.2e-15
+    rf = RescalingFunction(a=a, tau=tau)
+    h = rf.horizon
+    for t in (-1e-10 * h, h * (1.0 + 1e-10)):
+        assert abs(phi_of_t(rf, t)) <= 1e-15
+        np.testing.assert_allclose(frame_unitary(rf, t), IDENTITY2, rtol=0.0, atol=1e-15)
+
+
+@settings(deadline=None)
+@given(log_a1=st.floats(-3.0, 3.0), log_tau=st.floats(-2.0, 2.0), frac=st.floats(0.0, 1.0))
+def test_frame_angle_properties(log_a1, log_tau, frac):
+    # df cos(2 phi) = 1 over six decades of a - 1, and phi_dot is the textbook
+    # d2f / (2 df sqrt(df^2 - 1)) wherever that quotient is well conditioned
+    rf = RescalingFunction(a=1.0 + 10.0**log_a1, tau=10.0**log_tau)
+    t = frac * rf.horizon
+    fd = rf.df(t)
+    assert abs(fd * np.cos(2.0 * phi_of_t(rf, t)) - 1.0) <= 1e-12
+    if fd - 1.0 >= 1e-3:
+        textbook = rf.d2f(t) / (2.0 * fd * np.sqrt(fd * fd - 1.0))
+        assert phi_dot(rf, t) == pytest.approx(textbook, rel=1e-10)
 
 
 def test_K_matrix_special_values():
@@ -89,8 +133,8 @@ def test_K_dagger_is_negative_angle():
 
 def test_frame_is_identity_at_endpoints():
     rf = RescalingFunction(a=4.0, tau=2.0)
-    np.testing.assert_allclose(frame_unitary(rf, 0.0), IDENTITY2, atol=1e-7)
-    np.testing.assert_allclose(frame_unitary(rf, rf.horizon), IDENTITY2, atol=1e-7)
+    np.testing.assert_allclose(frame_unitary(rf, 0.0), IDENTITY2, atol=1e-15)
+    np.testing.assert_allclose(frame_unitary(rf, rf.horizon), IDENTITY2, atol=1e-15)
 
 
 def test_frak_reduces_to_plain_potential_at_a1():

@@ -177,7 +177,7 @@ def test_every_built_rescaling_has_df_at_least_one(a, tau, fractions):
 def test_float_time_gives_numpy_float_matching_array_call(a, tau, fractions):
     # numpy owns the scalar convention: a float t gives a 0-d np.floating,
     # bitwise element i of the call on the array of times; both endpoints
-    # are included so phi_dot's endpoint limit runs
+    # are included, where the frame angle's df is 1 and theta is 0 and pi
     rf = RescalingFunction(a=a, tau=tau)
     ts = np.array([0.0, *fractions, 1.0]) * rf.horizon
     calls = {
