@@ -9,7 +9,9 @@ second-kind generating function F = h1(t) x pbar + h2(t) x^2 with
 for which the pbar*xbar cross term cancels identically and only an
 auxiliary harmonic term kappa(t) xbar^2 remains.  The quantum analogue
 replaces F by exponentials of x^2 and {x, p} with coefficients
-beta = log(df), alpha = d2f/df and a harmonic strength kappa_q.
+beta = log(df) and alpha = d2f/df.  Such a map carries the Hamiltonian as
+the classical map does, up to a c-number (Littlejohn, Phys. Rep. 138, 193
+(1986)), so the quantum standard form's harmonic strength is kappa too.
 
 Integration is fixed-step RK4 on the grid of 2n+1 stage times t0 + k*h and
 t0 + k*h + h/2.  :func:`evolve_classical` steps a batch of (..., 2) states
@@ -113,16 +115,10 @@ def kappa(rf: RescalingFunction, t, m: float = 1.0):
 
 
 def quantum_coeffs(rf: RescalingFunction, t):
-    """(alpha, beta, kappa_q) of the quantum generating function:
-
-        beta = log(df),  alpha = d2f/df,
-        kappa_q = d3f/df - d2f^2/df^2 - d2f^2/df^3 .
-    """
+    """(alpha, beta) = (d2f/df, log(df)) of the quantum generating function; the
+    quantum standard form's xbar^2 strength is :func:`kappa`."""
     fd = rf.df(t)
-    f2 = rf.d2f(t)
-    f3 = rf.d3f(t)
-    kq = f3 / fd - f2 * f2 / (fd * fd) - f2 * f2 / (fd * fd * fd)
-    return f2 / fd, np.log(fd), kq
+    return rf.d2f(t) / fd, np.log(fd)
 
 
 #: |x| or |p| beyond this aborts the integration as diverged

@@ -322,8 +322,7 @@ def _run_appendix(cfg: dict, rfs: list) -> dict:
             ts = np.linspace(0.0, rf.horizon, cfg["n_record"])
             blocks.append((a, ts, *h1h2(rf, ts, cfg["mass"]), kappa(rf, ts, cfg["mass"]),
                            *quantum_coeffs(rf, ts)))
-        tables["coefficients"] = (["a", "t", "h1", "h2", "kappa", "alpha", "beta", "kappa_q"],
-                                  blocks)
+        tables["coefficients"] = (["a", "t", "h1", "h2", "kappa", "alpha", "beta"], blocks)
         results["coefficients"] = {"rows": cfg["n_record"] * len(blocks)}
     return {"tables": tables, "results": results, "checks": checks}
 

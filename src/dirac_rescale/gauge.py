@@ -3,27 +3,24 @@
 The substituted Hamiltonian df*H(f) carries an effective velocity df and
 rest energy df*m (c = 1, as hbar = 1).  The rotation angle phi(t) with
 cos(2 phi) = 1/df comes from the rescaling alone, so every function here
-takes the RescalingFunction itself; it defines a time-dependent unitary
-built from exp(i phi sx) that restores a constant rest energy.  What remains
-is a shifted kinetic coefficient (an inertial, momentum-dependent vector
-potential) plus a pseudoscalar sy term with coefficient m sqrt(df^2 - 1).
-phi and dphi/dt come from half the rescaling's phase, omega t / 2, so they
-are accurate to rounding up to the window's edges.
-
-Convention used throughout: with the frame unitary K(t) = exp(-i phi(t) sx),
-a solution of the substituted dynamics factorizes as psi_tilde = K * phi_sol
-where phi_sol evolves under
+takes the RescalingFunction itself.  phi and dphi/dt come from half the
+rescaling's phase, omega t / 2, so they are accurate to rounding up to the
+window's edges.  The frame unitary K(t) = exp(-i phi(t) sx) restores a
+constant rest energy: a solution of the substituted dynamics factorizes as
+psi_tilde = K * phi_sol, where phi_sol evolves under
 
     h = K^dag (df H(f)) K - i K^dag dK/dt   (hbar = 1) .
 
-This pairing makes the sy coefficient come out positive, at the price of a
-minus sign on the inertial dphi/dt term inside the sx coefficient (the two
-signs cannot both be positive for any single rotation axis; flipping the
-sign of phi everywhere gives the mirrored, equally valid frame).
+What remains is a shifted kinetic coefficient (the inertial, momentum-
+dependent vector potential of :func:`frak_vector_potential`) plus a
+pseudoscalar sy term with coefficient +m sqrt(df^2 - 1).  That sign costs a
+minus sign on dphi/dt inside the sx coefficient (the two signs cannot both
+be positive for any single rotation axis; flipping the sign of phi
+everywhere gives the mirrored, equally valid frame, not used here).
 
-:func:`gauge_equivalence_check` measures how far the two frames disagree
-and returns that measurement; judging it against a tolerance is the
-caller's choice (the CLI's ``--tol``).
+:func:`gauge_equivalence_check` measures how far K times h's propagator is
+from the substituted one and returns that measurement; judging it against
+a tolerance is the caller's choice (the CLI's ``--tol``).
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from .rescaling import RescalingFunction
 __all__ = [
     "phi_of_t",
     "phi_dot",
-    "K_matrix",
     "frame_unitary",
     "frak_vector_potential",
     "transformed_hamiltonian",
@@ -78,27 +74,21 @@ def phi_dot(rf: RescalingFunction, t):
     return _frame_angle(rf, t)[2]
 
 
-def K_matrix(phi):
-    """cos(phi) I + i sin(phi) sx, the SU(2) record (cos phi, -sin phi, 0, 0) at zero
-    phase as a matrix; unitary for any phi, K(0) = I."""
-    return _to_matrix((np.cos(phi), -np.sin(phi), 0.0, 0.0, 0.0))
-
-
 def frame_unitary(rf: RescalingFunction, t):
-    """The frame rotation K(t) = K_matrix(-phi(t)) used in psi_tilde = K phi."""
-    return K_matrix(-np.asarray(phi_of_t(rf, t)))
+    """The frame rotation K(t) = exp(-i phi(t) sx) used in psi_tilde = K phi."""
+    phi = phi_of_t(rf, t)
+    return _to_matrix((np.cos(phi), np.sin(phi), 0.0, 0.0, 0.0))
 
 
 def frak_vector_potential(rf: RescalingFunction, vector_potential: Callable, t, p):
-    """Momentum-mode vector potential absorbing the rescaled kinetic shift,
+    """Inertial vector potential df*A(f) + (df - 1)*p - dphi/dt.
 
-        df*A(f) + (df - 1)*p + d2f / (2 df sqrt(df^2 - 1)) ,
-
-    the last term being dphi/dt, accurate to rounding up to the window's edges.
+    For a model dx = p + A, p plus this is :func:`transformed_hamiltonian`'s
+    sx row; a model dx = p - A (``iontrap.build_demo_hamiltonian``) passes -A.
     """
-    fd = rf.df(t)
+    fd, _, inertial = _frame_angle(rf, t)
     a_resc = fd * np.asarray(vector_potential(rf.f(t)), dtype=float)
-    return a_resc + (fd - 1.0) * np.asarray(p, dtype=float) + phi_dot(rf, t)
+    return a_resc + (fd - 1.0) * np.asarray(p, dtype=float) - inertial
 
 
 def transformed_hamiltonian(rf: RescalingFunction, model: PauliHamiltonian) -> PauliHamiltonian:

@@ -261,7 +261,7 @@ def test_criterion_6_appendix_equivalence():
     collapse_ok = all(
         h1h2(rf1, t) == (1.0, 0.0)
         and kappa(rf1, t) == 0.0
-        and quantum_coeffs(rf1, t) == (0.0, 0.0, 0.0)
+        and quantum_coeffs(rf1, t) == (0.0, 0.0)
         for t in (0.0, 0.31, 0.9)
     )
 

@@ -153,24 +153,109 @@ def test_cross_term_cancels():
 
 def test_quantum_coeffs_trivial_and_boundary():
     rf1 = RescalingFunction(a=1.0, tau=1.0)
-    assert quantum_coeffs(rf1, 0.3) == (0.0, 0.0, 0.0)
+    assert quantum_coeffs(rf1, 0.3) == (0.0, 0.0)
     a, tau = 3.0, 2.0
     rf = RescalingFunction(a=a, tau=tau)
-    alpha, beta, kq = quantum_coeffs(rf, 0.0)
+    alpha, beta = quantum_coeffs(rf, 0.0)
     assert alpha == pytest.approx(0.0, abs=1e-12)
     assert beta == pytest.approx(0.0, abs=1e-12)
-    # at t = 0: kappa_q = d3f(0) = (a-1)(2 pi a / tau)^2
-    assert kq == pytest.approx(177.65287921960846, rel=1e-12)
 
 
 def test_quantum_coeffs_match_derivatives():
     rf = RescalingFunction(a=2.0, tau=1.0)
     t = 0.13
-    fd, f2, f3 = rf.df(t), rf.d2f(t), rf.d3f(t)
-    alpha, beta, kq = quantum_coeffs(rf, t)
+    fd, f2 = rf.df(t), rf.d2f(t)
+    alpha, beta = quantum_coeffs(rf, t)
     assert alpha == pytest.approx(f2 / fd, rel=1e-14)
     assert beta == pytest.approx(np.log(fd), rel=1e-14)
-    assert kq == pytest.approx(f3 / fd - f2**2 / fd**2 - f2**2 / fd**3, rel=1e-12)
+
+
+def _split_step(psi, x, kinetic, potential, t1, n_steps):
+    """Strang split-step Fourier evolution of psi on the periodic grid x from 0 to t1.
+
+    H(t) = kinetic(t) p^2 + potential(x, t), both taken at each step's midpoint
+    time; a step is exp(-i h V/2) exp(-i h T) exp(-i h V/2).
+    """
+    k2 = (2.0 * np.pi * np.fft.fftfreq(x.size, x[1] - x[0])) ** 2
+    h = t1 / n_steps
+    for j in range(n_steps):
+        t = (j + 0.5) * h
+        half = np.exp(-0.5j * h * potential(x, t))
+        psi = half * np.fft.ifft(np.exp(-1j * h * kinetic(t) * k2) * np.fft.fft(half * psi))
+    return psi
+
+
+def _quantum_flows(model, V, rf, K, n_points, t1, n_steps):
+    """psi under df [p^2/2m + V(x/gamma(f))/gamma(f)^2] and psibar under the
+    standard form pbar^2/2m + df V(sqrt(df) xbar/gamma(f))/gamma(f)^2 + K xbar^2,
+    both from the normalised exp(-(x - 1)^2) on [-10, 10) at t = 0, where the
+    map is the identity.  Returns (x, psi, psibar) at t1."""
+    m = model.m
+    x = np.linspace(-10.0, 10.0, n_points, endpoint=False)
+    psi0 = np.exp(-(x - 1.0) ** 2) / (np.pi / 2.0) ** 0.25 + 0j
+
+    def original(x, t):
+        g = model.gamma(rf.f(t))
+        return rf.df(t) * V(x / g) / g**2
+
+    def standard(x, t):
+        g, fd = model.gamma(rf.f(t)), rf.df(t)
+        return fd * V(np.sqrt(fd) * x / g) / g**2 + K(t) * x * x
+
+    psi = _split_step(psi0, x, lambda t: rf.df(t) / (2.0 * m), original, t1, n_steps)
+    psibar = _split_step(psi0, x, lambda t: 1.0 / (2.0 * m), standard, t1, n_steps)
+    return x, psi, psibar
+
+
+def _infidelity(x, u, v):
+    """1 - |<u|v>| on the grid x, insensitive to a global phase."""
+    return 1.0 - abs(np.vdot(u, v)) * (x[1] - x[0])
+
+
+@pytest.mark.parametrize("factory,V,a,n_points", [
+    (quartic_model, lambda u: u**4, 2.0, 512),
+    (harmonic_model, lambda u: u * u, 4.0, 1024),
+], ids=["quartic-a2", "harmonic-a4"])
+def test_quantum_standard_form_harmonic_strength_is_kappa(factory, V, a, n_points):
+    # the map is the identity at both ends of the window, so psi and psibar
+    # must agree there: with K = kappa their distance falls 16x per halving
+    # of the step, and with the old kappa_q, (4/m) kappa + d2f^2 (1/(2 df^2)
+    # - 1/df^3), it stays near 1
+    model, rf = factory(tau=1.0, m=1.0), RescalingFunction(a=a, tau=1.0)
+    assert model.dV(1.5) == pytest.approx((V(1.5 + 1e-6) - V(1.5 - 1e-6)) / 2e-6, rel=1e-8)
+
+    def end(K, n_steps):
+        return _infidelity(*_quantum_flows(model, V, rf, K, n_points, rf.horizon, n_steps))
+
+    def old_kappa_q(t):
+        fd, f2, f3 = rf.df(t), rf.d2f(t), rf.d3f(t)
+        return f3 / fd - f2 * f2 / (fd * fd) - f2 * f2 / (fd * fd * fd)
+
+    coarse, fine = (end(lambda t: kappa(rf, t, model.m), n) for n in (200, 400))
+    assert 12.0 <= coarse / fine <= 20.0
+    assert end(old_kappa_q, 200) >= 0.5
+
+
+def test_quantum_map_inside_the_window():
+    # at s = tau/(4a), psibar(xbar) = e^{beta/4} e^{-i (m/4) alpha xbar^2} psi(sqrt(df) xbar),
+    # psi read off its Fourier series between the grid points; the chirp of
+    # the opposite sign is far off
+    model, rf = quartic_model(tau=1.0, m=1.0), RescalingFunction(a=2.0, tau=1.0)
+    s = rf.tau / (4.0 * rf.a)
+    alpha, beta = quantum_coeffs(rf, s)
+
+    def distance(n_steps, sign=1.0):
+        x, psi, psibar = _quantum_flows(model, lambda u: u**4, rf,
+                                        lambda t: kappa(rf, t, model.m), 512, s, n_steps)
+        k = 2.0 * np.pi * np.fft.fftfreq(x.size, x[1] - x[0])
+        at = np.exp(1j * np.outer(np.sqrt(rf.df(s)) * x - x[0], k)) @ np.fft.fft(psi) / x.size
+        mapped = np.exp(beta / 4.0) * np.exp(-sign * 0.25j * model.m * alpha * x * x) * at
+        return _infidelity(x, mapped, psibar)
+
+    coarse, fine = distance(100), distance(200)
+    assert fine <= 1e-10
+    assert 12.0 <= coarse / fine <= 20.0
+    assert distance(100, sign=-1.0) >= 0.5
 
 
 def test_free_particle_exact():
@@ -424,4 +509,4 @@ def test_a1_collapses_all_coefficients():
         h1, h2 = h1h2(rf, t)
         assert (h1, h2) == (1.0, 0.0)
         assert kappa(rf, t) == 0.0
-        assert quantum_coeffs(rf, t) == (0.0, 0.0, 0.0)
+        assert quantum_coeffs(rf, t) == (0.0, 0.0)

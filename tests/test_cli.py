@@ -204,7 +204,7 @@ def test_appendix_coeffs_table(tmp_path):
                  "--out", str(out)])
     assert code == 0
     lines = read(out / "coefficients.csv").splitlines()
-    assert lines[0] == "a,t,h1,h2,kappa,alpha,beta,kappa_q"
+    assert lines[0] == "a,t,h1,h2,kappa,alpha,beta"
     row = [float(v) for v in lines[1].split(",")]
     assert row[2] == 1.0 and row[3] == 0.0 and row[4] == 0.0
 

@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from dirac_rescale.floquet import WeylModelParams, build_rotating_frame_h
 from dirac_rescale.gauge import (
-    K_matrix,
     frak_vector_potential,
     frame_unitary,
     gauge_equivalence_check,
@@ -24,6 +23,7 @@ from dirac_rescale.propagator import (
     IDENTITY2,
     PAULI_X,
     PauliHamiltonian,
+    propagate,
     propagate_sampled,
     time_rescaled,
     unitarity_defect,
@@ -99,36 +99,39 @@ def test_frame_angle_properties(log_a1, log_tau, frac):
         assert phi_dot(rf, t) == pytest.approx(textbook, rel=1e-10)
 
 
-def test_K_matrix_special_values():
-    np.testing.assert_allclose(K_matrix(0.0), IDENTITY2)
-    np.testing.assert_allclose(K_matrix(np.pi / 2), 1j * PAULI_X, atol=1e-15)
-
-
-@pytest.mark.parametrize("phi", [0.0, -0.0, -2.5, 1e6,
-                                 np.random.default_rng(5).uniform(-10.0, 10.0, (3, 4))],
-                         ids=["0", "-0", "-2.5", "1e6", "array"])
-def test_K_matrix_is_cos_identity_plus_i_sin_sigma_x(phi):
-    c, s = (np.asarray(f(phi))[..., None, None] for f in (np.cos, np.sin))
-    got = K_matrix(phi)
-    assert got.shape == np.shape(phi) + (2, 2)
-    np.testing.assert_array_equal(got, c * IDENTITY2 + 1j * s * PAULI_X)
-
-
-def test_frame_unitary_is_K_at_minus_phi():
-    rf = RescalingFunction(a=3.0, tau=1.0)
+@pytest.mark.parametrize("a", [2.0, 3.0])
+def test_frame_unitary_is_cos_identity_minus_i_sin_sigma_x(a):
+    # K(t) = exp(-i phi sx), at each sampled time and bitwise for an array t
+    rf = RescalingFunction(a=a, tau=1.0)
     t = np.linspace(0.0, rf.horizon, 11)
-    np.testing.assert_array_equal(frame_unitary(rf, t), K_matrix(-phi_of_t(rf, t)))
+    phi = phi_of_t(rf, t)
+    c, s = np.cos(phi)[:, None, None], np.sin(phi)[:, None, None]
+    got = frame_unitary(rf, t)
+    np.testing.assert_array_equal(got, c * IDENTITY2 - 1j * s * PAULI_X)
+    assert all(np.array_equal(got[i], frame_unitary(rf, v)) for i, v in enumerate(t.tolist()))
 
 
-def test_K_matrix_unitary_sweep():
-    rng = np.random.default_rng(3)
-    for phi in rng.uniform(-np.pi, np.pi, size=200):
-        assert unitarity_defect(K_matrix(phi)) <= 1e-15
+def test_frame_unitary_special_value():
+    # a = 2, tau = 1: phi(1/8) = pi/6
+    got = frame_unitary(RescalingFunction(a=2.0, tau=1.0), 0.125)
+    want = np.sqrt(3.0) / 2.0 * IDENTITY2 - 0.5j * PAULI_X
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+def test_frame_unitary_is_unitary():
+    rf = RescalingFunction(a=4.0, tau=1.0)
+    t = np.random.default_rng(3).uniform(0.0, rf.horizon, size=200)
+    assert np.max(unitarity_defect(frame_unitary(rf, t))) <= 1e-15
 
 
 def test_K_dagger_is_negative_angle():
-    phi = 0.3
-    np.testing.assert_allclose(K_matrix(phi).conj().T, K_matrix(-phi), atol=1e-16)
+    # K(t)^dag = exp(+i phi sx), the rotation at -phi
+    rf = RescalingFunction(a=3.0, tau=1.0)
+    t = np.linspace(0.0, rf.horizon, 11)
+    phi = -phi_of_t(rf, t)[:, None, None]
+    at_minus_phi = np.cos(phi) * IDENTITY2 - 1j * np.sin(phi) * PAULI_X
+    np.testing.assert_allclose(np.swapaxes(frame_unitary(rf, t).conj(), -1, -2),
+                               at_minus_phi, rtol=0.0, atol=1e-16)
 
 
 def test_frame_is_identity_at_endpoints():
@@ -145,15 +148,15 @@ def test_frak_reduces_to_plain_potential_at_a1():
 
 
 def test_frak_endpoint_limit():
-    # the inertial term tends to (pi a / tau) sqrt(a - 1) as t -> 0+
+    # the inertial term -dphi/dt tends to -(pi a / tau) sqrt(a - 1) as t -> 0+
     a, tau = 2.0, 1.0
     rf = RescalingFunction(a=a, tau=tau)
     zero = lambda t: 0.0 * np.asarray(t)
     expected = np.pi * a / tau * np.sqrt(a - 1.0)
     at_eps = frak_vector_potential(rf, zero, 1e-6, p=0.0)
-    assert at_eps == pytest.approx(expected, rel=1e-4)
+    assert at_eps == pytest.approx(-expected, rel=1e-4)
     at_zero = frak_vector_potential(rf, zero, 0.0, p=0.0)
-    assert at_zero == pytest.approx(expected, rel=1e-12)
+    assert at_zero == pytest.approx(-expected, rel=1e-12)
     # sqrt(d3f)/2 with the approach sign: negative when leaving the window
     at_end = phi_dot(rf, rf.horizon)
     assert at_end == pytest.approx(-expected, rel=1e-12)
@@ -166,7 +169,46 @@ def test_inertial_term_is_phi_derivative():
         third = frak_vector_potential(rf, zero, t, p=0.0)
         h = 1e-6
         fd = (phi_of_t(rf, t + h) - phi_of_t(rf, t - h)) / (2 * h)
-        assert third == pytest.approx(fd, abs=1e-7)
+        assert third == pytest.approx(-fd, abs=1e-7)
+
+
+@pytest.mark.parametrize("a", [2.0, 4.0])
+def test_frak_potential_drives_the_propagated_frame(a):
+    # (p + frak) sx + m sqrt(df^2 - 1) sy + m sz is the frame of
+    # transformed_hamiltonian: K = I at the window's end, so its propagator
+    # ends where the substituted run does
+    rf = RescalingFunction(a=a, tau=1.0)
+    A = lambda t: 0.2 * np.asarray(t)
+    p, m = 0.5, 1.0
+
+    def terms(t):
+        fd = rf.df(t)
+        return (0.0, p + frak_vector_potential(rf, A, t, p),
+                m * np.sqrt(np.maximum(fd * fd - 1.0, 0.0)), m)
+
+    u_frak = propagate(PauliHamiltonian(terms), 0.0, rf.horizon, 512)
+    u_tilde = propagate(time_rescaled(dirac_model(p, m=m, vector_potential=A), rf), 0.0,
+                        rf.horizon, 512)
+    assert np.linalg.norm(u_frak - u_tilde, ord=2) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(1.0, 8.0), tau=st.floats(0.5, 4.0), p=st.floats(-1.5, 1.5))
+@example(a=2.0, tau=1.0, p=0.5)
+@example(a=4.0, tau=1.0, p=0.5)
+def test_frak_potential_is_the_sx_row(a, tau, p):
+    # p + frak is transformed_hamiltonian's sx row, for a model dx = p + A and
+    # for build_demo_hamiltonian's dx = p - A, which passes -A
+    rf = RescalingFunction(a=a, tau=tau)
+    t = np.linspace(0.0, rf.horizon, 41)
+    A = lambda t: 0.2 * np.asarray(t)
+    trap = IonTrapModel(tau=tau)
+    for model, potential in ((dirac_model(p, vector_potential=A), A),
+                             (build_demo_hamiltonian(trap, p),
+                              lambda t: -trap.vector_potential(t))):
+        sx_row = transformed_hamiltonian(rf, model).coeffs(t)[1]
+        frak = frak_vector_potential(rf, potential, t, p)
+        assert np.max(np.abs(p + frak - sx_row)) <= 1e-13
 
 
 def test_transformed_recovers_original_at_a1():
