@@ -23,6 +23,7 @@ from dirac_rescale.propagator import (
     IDENTITY2,
     PAULI_X,
     PauliHamiltonian,
+    _to_matrix,
     propagate,
     propagate_sampled,
     time_rescaled,
@@ -109,6 +110,18 @@ def test_frame_unitary_is_cos_identity_minus_i_sin_sigma_x(a):
     got = frame_unitary(rf, t)
     np.testing.assert_array_equal(got, c * IDENTITY2 - 1j * s * PAULI_X)
     assert all(np.array_equal(got[i], frame_unitary(rf, v)) for i, v in enumerate(t.tolist()))
+
+
+@pytest.mark.parametrize("phi", [0.0, -0.0, -2.5, 1e6,
+                                 np.random.default_rng(5).uniform(-10.0, 10.0, (3, 4))],
+                         ids=["0", "-0", "-2.5", "1e6", "array"])
+def test_K_matrix_is_cos_identity_plus_i_sin_sigma_x(phi):
+    # the record (cos phi, -sin phi, 0, 0) at zero phase is exp(+i phi sx), K^dag at
+    # angle phi; frame_unitary builds K from the same matrix formula at -phi
+    c, s = (np.asarray(f(phi))[..., None, None] for f in (np.cos, np.sin))
+    got = _to_matrix((np.cos(phi), -np.sin(phi), 0.0, 0.0, 0.0))
+    assert got.shape == np.shape(phi) + (2, 2)
+    np.testing.assert_array_equal(got, c * IDENTITY2 + 1j * s * PAULI_X)
 
 
 def test_frame_unitary_special_value():
